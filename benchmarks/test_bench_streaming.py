@@ -1,4 +1,4 @@
-"""Benchmark: streaming ingestion vs full-rebuild querying, and shard scaling.
+"""Benchmark: streaming ingestion vs batch-built querying, and shard scaling.
 
 Replays a canned dataset through the streaming service and reports ingest
 throughput (events/sec) plus per-query IO in the two regimes the delta
@@ -98,40 +98,32 @@ def test_async_vs_sync_serving(benchmark):
 
 
 def test_graph_merge_cost(benchmark):
-    """The ``stream-graph`` benchmark: patch the ReachGraph vs rebuild it.
+    """The ``stream-graph`` benchmark: patch the snapshot vs batch-build it.
 
-    One long multi-merge stream drained twice — incremental graph maintenance
-    against rebuild-per-merge.  Both modes must agree with the batch
-    reference; the incremental mode must write strictly fewer graph vertex
-    records (the write-amplification claim of the incremental path).
+    One long multi-merge stream drained once through the incremental merge
+    path.  Its answers must agree with the batch reference, it must build
+    the ReachGraph exactly once, and it must write strictly fewer graph
+    vertex records and snapshot contact records than a from-scratch batch
+    build of every merge's prefix would (the write-amplification claim of
+    the incremental path).
     """
     result = run_experiment(
         benchmark,
         graph_merge_replay,
         dataset_names=("rwp-small",),
-        graph_modes=("incremental", "rebuild"),
         batch_ticks=8,
         num_queries=12,
         max_delta_contacts=96,
     )
-    assert [row["graph_mode"] for row in result.rows] == ["incremental", "rebuild"]
-    by_mode = {row["graph_mode"]: row for row in result.rows}
-    for row in result.rows:
-        assert row["merges"] > 3, "the workload must force a multi-merge stream"
-        assert row["matches"] == "12/12"
-    assert by_mode["incremental"]["graph_rebuilds"] == 1
-    assert by_mode["rebuild"]["graph_rebuilds"] == by_mode["rebuild"]["merges"]
-    # The point of incremental maintenance: strictly fewer records written.
-    assert (
-        by_mode["incremental"]["graph_records_written"]
-        < by_mode["rebuild"]["graph_records_written"]
-    ), by_mode
-    # Both modes leave reclaimable graph garbage: incremental supersedes
-    # partitions it rewrites in place, rebuild retires the whole previous
-    # graph version at every merge (its files leave the storage catalog, so
-    # the ledger counts them until a device reclaim recycles the blocks).
-    assert by_mode["incremental"]["graph_superseded_blocks"] > 0
-    assert by_mode["rebuild"]["graph_superseded_blocks"] > 0
+    (row,) = result.rows
+    assert row["merges"] > 3, "the workload must force a multi-merge stream"
+    assert row["matches"] == "12/12"
+    assert row["graph_rebuilds"] == 1
+    assert row["graph_records_written"] < row["batch_graph_records"], row
+    assert row["snapshot_records_written"] < row["batch_snapshot_records"], row
+    # Patching leaves reclaimable graph garbage: partitions rewritten in
+    # place supersede their old extents until a device reclaim recycles them.
+    assert row["graph_superseded_blocks"] > 0
 
 
 def test_storage_backend_comparison(benchmark):

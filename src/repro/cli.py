@@ -13,7 +13,7 @@ Usage::
     python -m repro.cli stream-async --concurrency 8  # sync vs asyncio serving
     python -m repro.cli stream-disk          # sim vs file vs mmap comparison
     python -m repro.cli stream-space         # GC: live vs device blocks
-    python -m repro.cli stream-graph         # incremental vs rebuild graph merges
+    python -m repro.cli stream-graph         # graph merge cost vs batch builds
     python -m repro.cli stream-parallel      # merge-executor scaling curve
     python -m repro.cli stream --merge-executor process --merge-workers 4
     python -m repro.cli table5 --json out.json  # machine-readable results too
@@ -32,7 +32,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .core.config import GRAPH_MODES, MERGE_EXECUTORS, STORAGE_BACKENDS
+from .core.config import MERGE_EXECUTORS, STORAGE_BACKENDS
 from .experiments.figures import EXPERIMENTS
 from .experiments.report import format_result, format_results_json
 
@@ -93,13 +93,6 @@ _STORAGE_BACKEND_KWARGS = {
 #: concurrently with ingestion.
 _CONCURRENCY_KWARGS = {
     "stream-async": lambda concurrency: {"concurrency": concurrency},
-}
-
-#: How --graph-mode MODE is injected, per experiment whose streaming service
-#: maintains a ReachGraph fast path across merges.
-_GRAPH_MODE_KWARGS = {
-    "stream": lambda mode: {"graph_mode": mode},
-    "stream-graph": lambda mode: {"graph_modes": (mode,)},
 }
 
 #: How --merge-executor KIND (and --merge-workers N) are injected, per
@@ -170,15 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "issue N concurrent queries against the asyncio serving front-end "
             f"(applies to: {', '.join(sorted(_CONCURRENCY_KWARGS))})"
-        ),
-    )
-    parser.add_argument(
-        "--graph-mode",
-        choices=GRAPH_MODES,
-        default=None,
-        help=(
-            "maintain the streaming ReachGraph incrementally or rebuild it "
-            f"per merge (applies to: {', '.join(sorted(_GRAPH_MODE_KWARGS))})"
         ),
     )
     parser.add_argument(
@@ -292,7 +276,6 @@ def _run_one(
     shards: Optional[int] = None,
     concurrency: Optional[int] = None,
     storage_backend: Optional[str] = None,
-    graph_mode: Optional[str] = None,
     merge_executor: Optional[str] = None,
     merge_workers: Optional[int] = None,
 ):
@@ -304,8 +287,6 @@ def _run_one(
         kwargs.update(_CONCURRENCY_KWARGS[name](concurrency))
     if storage_backend is not None and name in _STORAGE_BACKEND_KWARGS:
         kwargs.update(_STORAGE_BACKEND_KWARGS[name](storage_backend))
-    if graph_mode is not None and name in _GRAPH_MODE_KWARGS:
-        kwargs.update(_GRAPH_MODE_KWARGS[name](graph_mode))
     if merge_executor is not None and name in _MERGE_EXECUTOR_KWARGS:
         kwargs.update(_MERGE_EXECUTOR_KWARGS[name](merge_executor))
     if merge_workers is not None and name in _MERGE_WORKERS_KWARGS:
@@ -354,7 +335,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 shards=args.shards,
                 concurrency=args.concurrency,
                 storage_backend=args.storage_backend,
-                graph_mode=args.graph_mode,
                 merge_executor=args.merge_executor,
                 merge_workers=args.merge_workers,
             )

@@ -369,8 +369,8 @@ class ReachGraphIndex:
         run in a background thread, and the adopting (storage-owning) thread
         calls this to create the partition file and object index and write
         them out.  ``name`` optionally renames the on-device files — the
-        streaming overlay versions them (``graph-v1``, ``graph-v2``, …) so
-        successive rebuild-mode graphs on one device never collide.
+        streaming overlay versions them (``graph-v1``, …) and persists the
+        version in its graph catalog.
         """
         self._require_built()
         if self._storage is not None:

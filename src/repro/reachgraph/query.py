@@ -60,7 +60,7 @@ class PartitionCache:
     parallel-worker queries against the same graph all share one cache.  The
     cache is generation-stamped: :meth:`invalidate` empties it and bumps the
     generation whenever the underlying graph mutates (merge adoption,
-    frontier repack, rebuild swap) — the same bump discipline the
+    frontier repack) — the same bump discipline the
     parallel query fleet uses for its reopened snapshots.  Thread-safe; a
     capacity of ``0`` disables caching (every lookup misses).
     """

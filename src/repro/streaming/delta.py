@@ -4,8 +4,8 @@ Write-optimized staging in front of read-optimized indexes (the EMBANKS
 pattern): contacts observed since the last merge live in an in-memory
 :class:`DeltaGraph`; everything older sits in a frozen *snapshot* — a
 disk-placed :class:`ContactSnapshotStore` (interval-ordered contact extents
-with real IO accounting) plus, optionally, a ReachGraph index rebuilt over the
-snapshot prefix for the paper's fast query path.
+with real IO accounting) plus, optionally, a ReachGraph index built once and
+patched in place by every later merge, for the paper's fast query path.
 
 A query is answered one of two ways:
 
@@ -39,10 +39,8 @@ from ..baselines.reference import earliest_arrival
 from ..contacts.network import Contact, ContactNetwork
 from ..storage import BlockFile, StorageSystem
 from ..testing.faults import crash_point
-from ..trajectory.model import TrajectoryDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.config import ReachGraphConfig
     from ..reachgraph import (
         DagPatch,
         GraphFrontier,
@@ -142,26 +140,23 @@ class ObjectBloomFilter:
 
 @dataclass(frozen=True, slots=True)
 class SnapshotArtifacts:
-    """The query-side structures a merge rebuilds over the frozen prefix.
+    """The query-side structures a merge builds over the frozen prefix.
 
     Produced purely from captured :class:`~repro.streaming.service.MergeInputs`
-    by :func:`~repro.streaming.service.build_snapshot_artifacts` (safe to run
+    by :func:`~repro.streaming.service.build_merge` (safe to run
     in a background thread) and adopted atomically by
     :meth:`ReachGraphDeltaOverlay.adopt_increment`.
 
-    Exactly one of ``processor`` / ``graph_patch`` / ``pending_index`` is set
-    when the merge carries a ReachGraph fast path: ``processor`` is a complete
-    freshly built and placed index, ``pending_index`` is its deferred-placement
-    variant — built in memory (graph-rebuild mode, or the very first merge)
-    and written onto the overlay's own device at adoption time so the graph
-    survives a close/reopen cycle — and ``graph_patch`` is the
-    incremental-mode alternative: a pure description of how the frozen ticks
-    extend the *live* index, applied in place at adoption time.  All three are
-    ``None`` for services that skip the fast path.
+    At most one of ``graph_patch`` / ``pending_index`` is set:
+    ``pending_index`` is the first fast-path merge's full build — made in
+    memory and written onto the overlay's own device at adoption time so the
+    graph survives a close/reopen cycle — and ``graph_patch`` is every later
+    merge's pure description of how the frozen ticks extend the *live*
+    index, applied in place at adoption time.  Both are ``None`` for
+    services that skip the fast path.
     """
 
     network: ContactNetwork
-    processor: Optional["ReachGraphQueryProcessor"]
     graph_patch: Optional["DagPatch"] = None
     pending_index: Optional["ReachGraphIndex"] = None
 
@@ -258,8 +253,8 @@ class ContactSnapshotStore:
     reclaimable garbage: :attr:`superseded_blocks` counts them until a
     device :meth:`~repro.storage.StorageSystem.reclaim` recycles them, and
     :attr:`records_written` / :attr:`level_records_written` are the
-    cumulative write-amplification ledgers the tests compare against the
-    rebuild-from-scratch path.
+    cumulative write-amplification ledgers the tests compare against a
+    from-scratch snapshot of every merge's prefix.
     """
 
     def __init__(
@@ -434,7 +429,7 @@ class ContactSnapshotStore:
 
     @property
     def num_runs(self) -> int:
-        """Live runs (1 right after a full fold or a full rebuild)."""
+        """Live runs (1 right after a full fold)."""
         return len(self._runs)
 
     @property
@@ -614,23 +609,16 @@ class ReachGraphDeltaOverlay:
         self._network: Optional[ContactNetwork] = None
         self._processor = None  # ReachGraphQueryProcessor over the snapshot
         self._snapshot_watermark: Optional[TimeInstant] = None
-        self._version = 0
         self._graph_version = 0
         # ReachGraph write-amplification ledger (mirrors the snapshot store's
-        # records ledger): vertex records ever written by builds/increments,
-        # full rebuilds performed, and partition blocks superseded by rewrites
-        # of indexes this overlay has since retired.
+        # records ledger): vertex records ever written by the build and its
+        # increments, and full builds performed.
         self._graph_records_written = 0
         self._graph_rebuilds = 0
-        self._graph_superseded_base = 0
-        # Cross-query partition cache, shared by every processor this overlay
-        # ever attaches; invalidated whenever the graph mutates.  The serving
-        # layer resizes it from StreamingConfig.partition_cache_size.
+        # Cross-query partition cache shared by the processor's queries;
+        # invalidated whenever the graph mutates.  The serving layer resizes
+        # it from StreamingConfig.partition_cache_size.
         self._partition_cache = PartitionCache()
-        # Query-path counters retired processors fold into (a rebuild-mode
-        # merge swaps the processor, which would otherwise reset them).
-        self._label_rejections_base = 0
-        self._label_prunes_base = 0
         self._bloom_rejections = 0
 
     # ------------------------------------------------------------------
@@ -651,60 +639,6 @@ class ReachGraphDeltaOverlay:
     # ------------------------------------------------------------------
     # merges
     # ------------------------------------------------------------------
-    def install_snapshot(
-        self,
-        dataset: TrajectoryDataset,
-        contacts: Sequence[Contact],
-        watermark: TimeInstant,
-        temporal_resolution: int,
-        distance_threshold: float,
-        build_reachgraph: bool = True,
-        graph_config: Optional["ReachGraphConfig"] = None,
-    ) -> None:
-        """Replace the snapshot with a fresh one over the full prefix.
-
-        ``contacts`` must be the complete contact set of the prefix (the
-        ingestor's closed plus open-clipped contacts); the delta is emptied
-        because everything it held is now part of the snapshot.
-
-        This is the *rebuild* write path: the entire prefix is rewritten as a
-        single fresh run.  The LSM path (:meth:`adopt_increment`) appends only
-        the freshly frozen contacts instead.
-        """
-        self._version += 1
-        self._store = ContactSnapshotStore(
-            self._storage,
-            origin=dataset.horizon.start,
-            temporal_resolution=temporal_resolution,
-            name=f"snapshot-contacts-v{self._version}",
-            contacts=contacts,
-        )
-        self._network = ContactNetwork(dataset, contacts, distance_threshold)
-        self._retire_processor()
-        if build_reachgraph:
-            from ..reachgraph import ReachGraphIndex, ReachGraphQueryProcessor
-
-            # Placed on this overlay's own storage system (versioned so
-            # successive installs never collide on a file name), which is
-            # what lets close/reopen restore the graph fast path.
-            self._graph_version += 1
-            index = ReachGraphIndex(
-                dataset,
-                config=graph_config,
-                contact_config=None,
-                contact_network=self._network,
-                storage=self._storage,
-                name=f"graph-v{self._graph_version}",
-            ).build()
-            self._processor = ReachGraphQueryProcessor(
-                index, partition_cache=self._partition_cache
-            )
-            self._graph_records_written += index.records_written
-            self._graph_rebuilds += 1
-        self._partition_cache.invalidate()
-        self._snapshot_watermark = watermark
-        self._delta.clear()
-
     def adopt_increment(
         self,
         artifacts: "SnapshotArtifacts",
@@ -713,19 +647,18 @@ class ReachGraphDeltaOverlay:
         origin: TimeInstant,
         temporal_resolution: int,
     ) -> int:
-        """Advance the snapshot by appending one run (the LSM write path).
+        """Advance the snapshot by appending one run.
 
         ``new_contacts`` is the freshly frozen slice of the prefix — every
         contact of ``[origin, watermark]`` clipped past the current snapshot
         watermark (clipping is re-applied here to defend the partition
-        invariant).  ``artifacts`` carries the purely rebuilt query-side
-        structures (contact network, and either a fresh ReachGraph processor
-        or a :class:`~repro.reachgraph.DagPatch` for the live one), which is
-        what keeps the expensive half of a merge off-thread-safe while this
-        method — the only part touching live state — stays cheap: one run
-        append, a few assignments, and (in incremental graph mode) a patch
-        application proportional to the delta.  Returns the records written
-        to the snapshot store.
+        invariant).  ``artifacts`` carries the purely built query-side
+        structures (contact network, and either the first ReachGraph build
+        or a :class:`~repro.reachgraph.DagPatch` for the live index), which
+        is what keeps the expensive half of a merge off-thread-safe while
+        this method — the only part touching live state — stays cheap: one
+        run append, a few assignments, and a patch application proportional
+        to the delta.  Returns the records written to the snapshot store.
         """
         # The graph half goes first: apply_increment validates the patch
         # against the live index (a stale patch raises) before anything else
@@ -743,13 +676,19 @@ class ReachGraphDeltaOverlay:
                 contact_network=artifacts.network,
             )
             self._graph_records_written += report.records_written
+        elif self._processor is not None:
+            # Prepared before the live index existed: adopting would leave
+            # the index behind the new snapshot watermark.
+            raise StreamingError(
+                "the merge was prepared without the live ReachGraph index; "
+                "only one merge may be in flight"
+            )
         elif artifacts.pending_index is not None:
             from ..reachgraph import ReachGraphQueryProcessor
 
             # The deferred build ran off-thread against no storage; place it
             # on this overlay's device here, on the adopting thread, under a
-            # versioned name so successive graph rebuilds never collide.
-            self._retire_processor()
+            # versioned name that a reopened overlay resumes counting from.
             self._graph_version += 1
             artifacts.pending_index.place(
                 self._storage, name=f"graph-v{self._graph_version}"
@@ -759,23 +698,15 @@ class ReachGraphDeltaOverlay:
             )
             self._graph_records_written += artifacts.pending_index.records_written
             self._graph_rebuilds += 1
-        else:
-            self._retire_processor()
-            self._processor = artifacts.processor
-            if artifacts.processor is not None:
-                artifacts.processor.partition_cache = self._partition_cache
-                self._graph_records_written += artifacts.processor.index.records_written
-                self._graph_rebuilds += 1
-        # Whatever branch ran, the graph the cache was stamped against is
-        # gone (patched in place or swapped): start a fresh generation.
+        # The graph the cache was stamped against (if any) was patched or
+        # first placed: start a fresh generation.
         self._partition_cache.invalidate()
         if self._store is None:
-            self._version += 1
             self._store = ContactSnapshotStore(
                 self._storage,
                 origin=origin,
                 temporal_resolution=temporal_resolution,
-                name=f"snapshot-contacts-v{self._version}",
+                name="snapshot-contacts-v1",
             )
         frozen = [
             clipped
@@ -787,31 +718,6 @@ class ReachGraphDeltaOverlay:
         self._snapshot_watermark = watermark
         self._delta.clear()
         return appended
-
-    def _retire_processor(self) -> None:
-        """Fold the outgoing index's garbage counter into the overlay's base.
-
-        When the retired index lives on this overlay's own device, its
-        partition file and object index also leave the storage catalog: the
-        replacement index supersedes them completely, so keeping them
-        cataloged would pin their blocks as live forever and starve
-        :meth:`~repro.storage.StorageSystem.reclaim`.
-        """
-        if self._processor is not None:
-            index = self._processor.index
-            self._label_rejections_base += self._processor.label_rejections
-            self._label_prunes_base += self._processor.label_frontier_prunes
-            self._graph_superseded_base += index.superseded_blocks
-            if index.is_placed and index.storage is self._storage:
-                retired = 0
-                partitions = f"{index.name}-partitions"
-                if self._storage.has_blockfile(partitions):
-                    retired += self._storage.drop_blockfile(partitions)
-                table = f"{index.name}-object-index"
-                if self._storage.has_hashtable(table):
-                    retired += self._storage.drop_hashtable(table)
-                self._graph_superseded_base += retired
-        self._processor = None
 
     def graph_frontier(self) -> Optional["GraphFrontier"]:
         """The live index's resumable maintenance state, or ``None``.
@@ -837,17 +743,15 @@ class ReachGraphDeltaOverlay:
         return self._store.maybe_compact(fanout)
 
     def note_device_reclaimed(self) -> None:
-        """Zero the overlay-level superseded ledgers after a device reclaim.
+        """Zero the store's superseded ledger after a device reclaim.
 
-        The garbage those ledgers counted no longer exists on the device:
-        the store's compaction ledger and the overlay's retired-graph base
-        reset so the next reclaim trigger measures only garbage created
-        *after* this one.  (The live index's own counter is the partition
-        file's ledger, which the reclaim's block remap already zeroed.)
+        The garbage it counted no longer exists on the device, so the next
+        reclaim trigger measures only garbage created *after* this one.
+        (The live index's own counter is the partition file's ledger, which
+        the reclaim's block remap already zeroed.)
         """
         if self._store is not None:
             self._store.reset_superseded()
-        self._graph_superseded_base = 0
 
     def configure_partition_cache(self, capacity: int) -> None:
         """Resize the cross-query partition cache (the service applies config).
@@ -910,7 +814,7 @@ class ReachGraphDeltaOverlay:
 
         ``network`` is the snapshot prefix's contact network — the fast-path
         applicability check reads its dataset — and ``version`` resumes the
-        graph file-name counter so later rebuilds never collide on a name.
+        graph file-name counter.
         """
         self._processor = processor
         processor.partition_cache = self._partition_cache
@@ -978,18 +882,15 @@ class ReachGraphDeltaOverlay:
 
     @property
     def graph_rebuilds(self) -> int:
-        """Full ReachGraph builds performed (incremental mode: just the first)."""
+        """Full ReachGraph builds performed (just the first fast-path merge)."""
         return self._graph_rebuilds
 
     @property
     def graph_superseded_blocks(self) -> int:
         """Partition blocks orphaned by increment rewrites (graph garbage)."""
-        current = (
-            self._processor.index.superseded_blocks
-            if self._processor is not None
-            else 0
-        )
-        return self._graph_superseded_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.index.superseded_blocks
 
     @property
     def partition_cache(self) -> "PartitionCache":
@@ -999,20 +900,16 @@ class ReachGraphDeltaOverlay:
     @property
     def label_rejections(self) -> int:
         """Queries the label fast path answered unreachable without traversal."""
-        current = (
-            self._processor.label_rejections if self._processor is not None else 0
-        )
-        return self._label_rejections_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.label_rejections
 
     @property
     def label_frontier_prunes(self) -> int:
         """Frontier expansions the labels let the traversal skip."""
-        current = (
-            self._processor.label_frontier_prunes
-            if self._processor is not None
-            else 0
-        )
-        return self._label_prunes_base + current
+        if self._processor is None:
+            return 0
+        return self._processor.label_frontier_prunes
 
     @property
     def label_relabels(self) -> int:
@@ -1065,9 +962,8 @@ class ReachGraphDeltaOverlay:
     def snapshot_processor(self) -> Optional["ReachGraphQueryProcessor"]:
         """The ReachGraph fast-path processor (``None`` without one).
 
-        In incremental graph mode this is the *same* object across merges —
-        its index is patched in place — which is what the maintenance tests
-        pin down.
+        This is the *same* object across merges — its index is patched in
+        place — which is what the maintenance tests pin down.
         """
         return self._processor
 

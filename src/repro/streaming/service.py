@@ -15,7 +15,6 @@ contact network of the ingested prefix.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -46,24 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import MergeExecutor
 
 __all__ = [
-    "MergeBuild",
     "MergeInputs",
     "QueryResultCache",
     "SnapshotQueryService",
     "StreamingReachabilityService",
     "StreamingStats",
     "build_merge",
-    "build_snapshot_artifacts",
-    "build_snapshot_overlay",
 ]
 
 #: Metadata key under which a service persists its overlay manifest.
 _OVERLAY_MANIFEST_KEY = "overlay-manifest"
-
-#: Distinguishes the storage-system names of successive rebuild-mode overlay
-#: builds, so two rebuilds against the same persistent ``storage_dir`` never
-#: collide on a backing file.
-_REBUILD_NAMES = itertools.count(1)
 
 
 class QueryResultCache:
@@ -139,16 +130,13 @@ class MergeInputs:
 
     ``contacts`` is the complete contact set of the prefix ``[origin, bound]``;
     ``new_contacts`` is its freshly frozen slice — the same contacts clipped
-    past the previous snapshot watermark — which is all the LSM write path
-    appends to the snapshot store (empty in rebuild mode, which rewrites the
-    full prefix and never reads the slice).  ``mode`` records which write
-    path the service's config selected when the inputs were captured.
+    past the previous snapshot watermark — which is all the merge appends to
+    the snapshot store as one new run.
 
-    ``graph_mode`` records the ReachGraph maintenance mode, and
-    ``graph_frontier`` carries the live index's captured resumable state when
-    the merge should *patch* the graph instead of rebuilding it — ``None``
-    when no index exists yet (the first merge builds one), when the config
-    asks for rebuilds, or when the service skips the fast path entirely.
+    ``graph_frontier`` carries the live index's captured resumable state, so
+    the merge *patches* the graph instead of building it — ``None`` when no
+    index exists yet (the first fast-path merge builds one, if
+    ``build_reachgraph`` asks for it).
     ``graph_labels``/``label_dirty_ratio`` freeze the query-fast-path knobs
     the built index must honour (captured alongside the prefix so a config
     change between prepare and adopt cannot split-brain the build).
@@ -161,53 +149,9 @@ class MergeInputs:
     temporal_resolution: int
     distance_threshold: float
     build_reachgraph: bool
-    mode: str
-    graph_mode: str = "incremental"
     graph_frontier: Optional["GraphFrontier"] = None
     graph_labels: bool = True
     label_dirty_ratio: float = 0.25
-
-
-@dataclass(frozen=True, slots=True)
-class MergeBuild:
-    """The off-thread-built half of a merge, ready for adoption.
-
-    Exactly one field is set: ``overlay`` for rebuild mode (a complete fresh
-    overlay whose snapshot store was rewritten from scratch), ``artifacts``
-    for LSM mode (just the rebuilt query-side structures; the snapshot store
-    is advanced in place by a cheap run append at adopt time).
-    """
-
-    overlay: Optional[ReachGraphDeltaOverlay]
-    artifacts: Optional[SnapshotArtifacts]
-
-
-def build_snapshot_overlay(
-    inputs: MergeInputs, storage_config: StorageConfig | None = None
-) -> ReachGraphDeltaOverlay:
-    """Build a fresh snapshot overlay from captured merge inputs (rebuild mode).
-
-    Pure function of ``inputs`` (plus the storage parameters): it allocates
-    its own :class:`~repro.storage.StorageSystem`, reads no live ingestor
-    state, and mutates nothing it did not create — safe to run off-thread
-    while ingestion and queries continue against the old overlay.  The result
-    becomes live only when
-    :meth:`StreamingReachabilityService.adopt_snapshot` swaps it in.
-    """
-    storage = StorageSystem(
-        storage_config, name=f"overlay-rebuild-{next(_REBUILD_NAMES)}", attach=False
-    )
-    overlay = ReachGraphDeltaOverlay(storage)
-    overlay.install_snapshot(
-        inputs.prefix,
-        inputs.contacts,
-        watermark=inputs.bound,
-        temporal_resolution=inputs.temporal_resolution,
-        distance_threshold=inputs.distance_threshold,
-        build_reachgraph=inputs.build_reachgraph,
-        graph_config=_graph_config(inputs),
-    )
-    return overlay
 
 
 def _graph_config(inputs: MergeInputs) -> ReachGraphConfig:
@@ -218,64 +162,46 @@ def _graph_config(inputs: MergeInputs) -> ReachGraphConfig:
     )
 
 
-def build_snapshot_artifacts(inputs: MergeInputs) -> SnapshotArtifacts:
-    """Rebuild the query-side snapshot structures from captured merge inputs.
+def build_merge(inputs: MergeInputs) -> SnapshotArtifacts:
+    """Run the pure build phase of a merge over its captured inputs.
 
-    The pure (off-thread-safe) half of an LSM-mode merge: the contact network
-    over the full prefix and, when configured, the ReachGraph fast path.  In
-    incremental graph mode (a :attr:`MergeInputs.graph_frontier` was
-    captured) the fast path is *not* rebuilt — the frozen slice is replayed
-    over the frontier into a :class:`~repro.reachgraph.DagPatch` whose cost
-    is proportional to the appended ticks, and the live index is patched at
-    adoption time.  No storage the service owns is touched here — the
-    snapshot store append (and the patch application) happen later, inside
+    The off-thread-safe half of a merge builds the query-side snapshot
+    structures: the contact network over the full prefix and, when the
+    service keeps one, the ReachGraph fast path.  Once a
+    :attr:`MergeInputs.graph_frontier` was captured the fast path is
+    *not* rebuilt — the frozen slice is replayed over the frontier into a
+    :class:`~repro.reachgraph.DagPatch` whose cost is proportional to the
+    appended ticks, and the live index is patched at adoption time; only the
+    first fast-path merge builds the index from scratch.  No storage the
+    service owns is touched here — the snapshot store append (and the patch
+    application) happen later, inside
     :meth:`StreamingReachabilityService.adopt_merge`.
     """
     network = ContactNetwork(inputs.prefix, inputs.contacts, inputs.distance_threshold)
     pending_index = None
     graph_patch = None
-    if inputs.build_reachgraph:
-        if inputs.graph_frontier is not None:
-            from ..reachgraph import compute_graph_patch
+    if inputs.graph_frontier is not None:
+        from ..reachgraph import compute_graph_patch
 
-            graph_patch = compute_graph_patch(
-                inputs.graph_frontier, inputs.new_contacts, inputs.bound
-            )
-        else:
-            from ..reachgraph import ReachGraphIndex
-
-            # Deferred placement: the build runs in memory (possibly on a
-            # background thread); the adopting thread later writes it onto
-            # the overlay's own device, where close/reopen can find it.
-            pending_index = ReachGraphIndex(
-                inputs.prefix,
-                config=_graph_config(inputs),
-                contact_config=None,
-                contact_network=network,
-                defer_placement=True,
-            ).build()
-    return SnapshotArtifacts(
-        network=network,
-        processor=None,
-        graph_patch=graph_patch,
-        pending_index=pending_index,
-    )
-
-
-def build_merge(
-    inputs: MergeInputs, storage_config: StorageConfig | None = None
-) -> MergeBuild:
-    """Run the pure build phase of a merge, honouring ``inputs.mode``.
-
-    Dispatches to :func:`build_snapshot_overlay` (rebuild) or
-    :func:`build_snapshot_artifacts` (lsm); either way the result is adopted
-    atomically by :meth:`StreamingReachabilityService.adopt_merge`.
-    """
-    if inputs.mode == "rebuild":
-        return MergeBuild(
-            overlay=build_snapshot_overlay(inputs, storage_config), artifacts=None
+        graph_patch = compute_graph_patch(
+            inputs.graph_frontier, inputs.new_contacts, inputs.bound
         )
-    return MergeBuild(overlay=None, artifacts=build_snapshot_artifacts(inputs))
+    elif inputs.build_reachgraph:
+        from ..reachgraph import ReachGraphIndex
+
+        # Deferred placement: the build runs in memory (possibly on a
+        # background thread); the adopting thread later writes it onto the
+        # overlay's own device, where close/reopen can find it.
+        pending_index = ReachGraphIndex(
+            inputs.prefix,
+            config=_graph_config(inputs),
+            contact_config=None,
+            contact_network=network,
+            defer_placement=True,
+        ).build()
+    return SnapshotArtifacts(
+        network=network, graph_patch=graph_patch, pending_index=pending_index
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,7 +271,6 @@ class StreamingReachabilityService:
         # The sharded coordinator turns auto_merge off and triggers per-shard
         # merges itself, bounded at the global low-watermark.
         self.auto_merge = auto_merge
-        self._storage_config = storage_config
         # ``ingestor``/``overlay`` are the resume path (see :meth:`open`):
         # constructing fresh ones here would attach with ``attach=False``,
         # which deletes any files the previous incarnation left behind.
@@ -378,22 +303,9 @@ class StreamingReachabilityService:
         self._compactions = 0
         self._snapshot_records_written = 0
         self._graph_records_written = 0
-        self._graph_rebuilds = 0
         self._graph_repacks = 0
         self._reclaims = 0
         self._reclaimed_blocks = 0
-        # Fast-path counter bases: rebuild-mode merges swap the overlay out
-        # wholesale, so the superseded overlay's query-side ledgers are folded
-        # in here to keep the service-lifetime stats monotonic.
-        self._label_rejections_base = 0
-        self._label_prunes_base = 0
-        self._label_relabels_base = 0
-        self._label_full_relabels_base = 0
-        self._bloom_rejections_base = 0
-        self._pcache_hits_base = 0
-        self._pcache_misses_base = 0
-        self._runs_skipped_base = 0
-        self._blocks_skipped_base = 0
         self._closed = False
         self._overlay.configure_partition_cache(
             self.streaming_config.partition_cache_size
@@ -554,7 +466,7 @@ class StreamingReachabilityService:
         extending past the bound stay in the delta, clipped at the boundary.
 
         The three phases — :meth:`prepare_merge` (capture the frozen prefix),
-        :func:`build_merge` (the pure build, rebuild- or LSM-mode), and
+        :func:`build_merge` (the pure build), and
         :meth:`adopt_merge` (atomic adoption) — are public so the asyncio
         front-end and the sharded coordinator can schedule the middle phase
         themselves; this method runs them back to back, routing the build
@@ -563,7 +475,7 @@ class StreamingReachabilityService:
         worker and this thread waits for the result before adopting).
         """
         inputs = self.prepare_merge(through=through)
-        build = self.merge_executor.submit(inputs, self._storage_config).result()
+        build = self.merge_executor.submit(inputs).result()
         crash_point("merge-pre-adopt")
         self.adopt_merge(build, inputs)
 
@@ -573,7 +485,7 @@ class StreamingReachabilityService:
         Synchronous and cheap relative to the build: materializes the prefix
         dataset and its contact set through ``min(through, watermark)``, plus
         the freshly frozen slice (clipped past the current snapshot
-        watermark) the LSM path appends.  The returned :class:`MergeInputs`
+        watermark) the merge appends.  The returned :class:`MergeInputs`
         shares no mutable state with the ingestor, so a :func:`build_merge`
         over it may run concurrently with further ingestion.
         """
@@ -585,12 +497,7 @@ class StreamingReachabilityService:
         self._sync_delta()
         contacts = tuple(self._ingestor.contacts_through(bound))
         snapshot_watermark = self._overlay.snapshot_watermark
-        mode = self.streaming_config.snapshot_mode
-        if mode == "rebuild":
-            # The rebuild path rewrites the full prefix and never reads the
-            # frozen slice; skip the per-contact clipping pass.
-            new_contacts: Tuple[Contact, ...] = ()
-        elif snapshot_watermark is None:
+        if snapshot_watermark is None:
             new_contacts = contacts
         else:
             new_contacts = tuple(
@@ -601,17 +508,6 @@ class StreamingReachabilityService:
                 )
                 if clipped is not None
             )
-        graph_mode = self.streaming_config.graph_mode
-        graph_frontier = None
-        if (
-            mode != "rebuild"
-            and graph_mode == "incremental"
-            and self.streaming_config.build_reachgraph_on_merge
-        ):
-            # Capture the live index's resumable state on this (owning)
-            # thread; None before the first fast-path build, which makes the
-            # first merge a full build and every later one a patch.
-            graph_frontier = self._overlay.graph_frontier()
         return MergeInputs(
             prefix=self._ingestor.prefix_dataset(through=bound),
             contacts=contacts,
@@ -620,33 +516,27 @@ class StreamingReachabilityService:
             temporal_resolution=self.grid_config.temporal_resolution,
             distance_threshold=self.contact_config.distance_threshold,
             build_reachgraph=self.streaming_config.build_reachgraph_on_merge,
-            mode=mode,
-            graph_mode=graph_mode,
-            graph_frontier=graph_frontier,
+            # Captured on this (owning) thread; None before the first
+            # fast-path build, which makes the first merge a full build and
+            # every later one a patch.
+            graph_frontier=self._overlay.graph_frontier(),
             graph_labels=self.streaming_config.graph_labels,
             label_dirty_ratio=self.streaming_config.label_dirty_ratio,
         )
 
-    def adopt_merge(self, build: MergeBuild, inputs: MergeInputs) -> None:
+    def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
         """Atomically adopt the built half of a merge.
 
-        Rebuild mode swaps the complete fresh overlay in
-        (:meth:`adopt_snapshot`); LSM mode appends the frozen slice as one
-        snapshot run, installs the rebuilt query-side structures, and — once
-        the run count passes ``compaction_max_runs`` — folds the runs with a
-        compaction.  Either way, no step between the adoption and the cache
+        Appends the frozen slice as one snapshot run, installs the built
+        query-side structures (patching the live graph in place), and — once
+        a level holds more than ``compaction_max_runs`` runs — folds them
+        with a compaction.  No step between the adoption and the cache
         invalidation yields control, so concurrent queries see the old
         snapshot or the fully adopted new one, never a mixture.
         """
-        if build.overlay is not None:
-            self.adopt_snapshot(build.overlay, inputs.bound)
-            self._maybe_reclaim()
-            return
-        assert build.artifacts is not None, "MergeBuild must carry one half"
         graph_written_before = self._overlay.graph_records_written
-        graph_rebuilds_before = self._overlay.graph_rebuilds
         self._snapshot_records_written += self._overlay.adopt_increment(
-            build.artifacts,
+            build,
             inputs.new_contacts,
             inputs.bound,
             origin=inputs.prefix.horizon.start,
@@ -655,7 +545,6 @@ class StreamingReachabilityService:
         self._graph_records_written += (
             self._overlay.graph_records_written - graph_written_before
         )
-        self._graph_rebuilds += self._overlay.graph_rebuilds - graph_rebuilds_before
         self._finish_adopt(inputs.bound)
         # Compaction deliberately runs here, on the adopting thread, even in
         # the async service: it reads the live runs through the (non-thread-
@@ -699,45 +588,12 @@ class StreamingReachabilityService:
             # partition payloads may now describe stale block placements.
             self._overlay.note_graph_mutated()
 
-    def adopt_snapshot(
-        self, overlay: ReachGraphDeltaOverlay, bound: TimeInstant
-    ) -> None:
-        """Atomically swap a freshly built snapshot overlay in (rebuild mode).
-
-        Restages the unfrozen halves of every closed contact extending past
-        ``bound`` into the new overlay's delta (``add_contact`` clips them at
-        the snapshot watermark), so the swap is correct even when ingestion
-        advanced past the captured prefix while the overlay was being built.
-        The superseded overlay's storage system is destroyed: nothing
-        references it after the swap, and on persistent backends every
-        rebuild would otherwise leak an open device file (and its on-disk
-        bytes) into the storage directory.
-        """
-        previous = self._overlay
-        self._snapshot_records_written += overlay.snapshot_records_written
-        self._graph_records_written += overlay.graph_records_written
-        self._graph_rebuilds += overlay.graph_rebuilds
-        self._label_rejections_base += previous.label_rejections
-        self._label_prunes_base += previous.label_frontier_prunes
-        self._label_relabels_base += previous.label_relabels
-        self._label_full_relabels_base += previous.label_full_relabels
-        self._bloom_rejections_base += previous.bloom_rejections
-        self._pcache_hits_base += previous.partition_cache.hits
-        self._pcache_misses_base += previous.partition_cache.misses
-        self._runs_skipped_base += previous.snapshot_runs_skipped
-        self._blocks_skipped_base += previous.snapshot_blocks_skipped
-        overlay.configure_partition_cache(self.streaming_config.partition_cache_size)
-        self._overlay = overlay
-        self._finish_adopt(bound)
-        if previous is not overlay and previous.storage is not overlay.storage:
-            previous.storage.destroy()
-
     def _finish_adopt(self, bound: TimeInstant) -> None:
         # Closed contacts are produced with non-decreasing end instants, so
         # everything before the restage cursor is frozen below every bound a
         # later merge can use — only the tail needs rescanning.  (Restaging
-        # the full history here was quadratic on long streams and, in LSM
-        # mode, re-added contacts the snapshot store already held.)
+        # the full history here was quadratic on long streams and re-added
+        # contacts the snapshot store already held.)
         tail = self._ingestor.closed_contacts_since(self._restage_cursor)
         frozen = 0
         for contact in tail:
@@ -850,11 +706,8 @@ class StreamingReachabilityService:
 
         Afterwards the service must not ingest or answer queries; with a
         persistent backend and a real ``storage_dir``, the state reopens via
-        :meth:`SnapshotQueryService.open`.  Reopening targets the LSM write
-        path (the default ``snapshot_mode``), whose snapshot store lives on
-        the service's own ``<name>-overlay`` device for its whole life;
-        ``rebuild`` mode places each merge's snapshot on a fresh per-merge
-        device, which :meth:`SnapshotQueryService.open` does not chase.
+        :meth:`SnapshotQueryService.open`: the snapshot store and graph live
+        on the service's own ``<name>-overlay`` device for its whole life.
         """
         if self._closed:
             return
@@ -938,9 +791,9 @@ class StreamingReachabilityService:
     def snapshot_records_written(self) -> int:
         """Cumulative contact records written by merges and compactions.
 
-        The service-lifetime write-amplification ledger: rebuild-mode merges
-        add the complete prefix every time, LSM-mode merges add only the
-        freshly frozen slice (plus occasional compaction rewrites).
+        The service-lifetime write-amplification ledger: each merge adds only
+        the freshly frozen slice (plus occasional compaction rewrites), where
+        a from-scratch snapshot would rewrite the complete prefix.
         """
         return self._snapshot_records_written
 
@@ -948,9 +801,9 @@ class StreamingReachabilityService:
     def graph_records_written(self) -> int:
         """Cumulative ReachGraph vertex records written by merges.
 
-        The graph-side write-amplification ledger: graph-rebuild merges write
-        the complete vertex set every time, incremental merges write only the
-        fresh and dirtied partitions.
+        The graph-side write-amplification ledger: the first fast-path merge
+        writes the complete vertex set, every later one only the fresh and
+        dirtied partitions (a from-scratch build would rewrite every vertex).
         """
         return self._graph_records_written
 
@@ -958,10 +811,10 @@ class StreamingReachabilityService:
     def graph_rebuilds(self) -> int:
         """Full ReachGraph builds performed by merges.
 
-        1 over the whole stream in incremental mode (the initial build);
-        one per fast-path merge in rebuild mode.
+        1 over the whole stream (the initial build): the witness that later
+        merges patch the index instead of rebuilding it.
         """
-        return self._graph_rebuilds
+        return self._overlay.graph_rebuilds
 
     @property
     def stats(self) -> StreamingStats:
@@ -982,30 +835,22 @@ class StreamingReachabilityService:
             superseded_blocks=self._overlay.snapshot_superseded_blocks,
             compactions=self._compactions,
             graph_records_written=self._graph_records_written,
-            graph_rebuilds=self._graph_rebuilds,
+            graph_rebuilds=self._overlay.graph_rebuilds,
             graph_superseded_blocks=self._overlay.graph_superseded_blocks,
             flushed_intervals=self._ingestor.num_flushed_intervals,
             ingest_seconds=self._ingestor.ingest_seconds,
             reclaims=self._reclaims,
             reclaimed_blocks=self._reclaimed_blocks,
             graph_repacks=self._graph_repacks,
-            label_rejections=self._label_rejections_base
-            + self._overlay.label_rejections,
-            label_frontier_prunes=self._label_prunes_base
-            + self._overlay.label_frontier_prunes,
-            label_relabels=self._label_relabels_base + self._overlay.label_relabels,
-            label_full_relabels=self._label_full_relabels_base
-            + self._overlay.label_full_relabels,
-            bloom_rejections=self._bloom_rejections_base
-            + self._overlay.bloom_rejections,
-            partition_cache_hits=self._pcache_hits_base
-            + self._overlay.partition_cache.hits,
-            partition_cache_misses=self._pcache_misses_base
-            + self._overlay.partition_cache.misses,
-            snapshot_runs_skipped=self._runs_skipped_base
-            + self._overlay.snapshot_runs_skipped,
-            snapshot_blocks_skipped=self._blocks_skipped_base
-            + self._overlay.snapshot_blocks_skipped,
+            label_rejections=self._overlay.label_rejections,
+            label_frontier_prunes=self._overlay.label_frontier_prunes,
+            label_relabels=self._overlay.label_relabels,
+            label_full_relabels=self._overlay.label_full_relabels,
+            bloom_rejections=self._overlay.bloom_rejections,
+            partition_cache_hits=self._overlay.partition_cache.hits,
+            partition_cache_misses=self._overlay.partition_cache.misses,
+            snapshot_runs_skipped=self._overlay.snapshot_runs_skipped,
+            snapshot_blocks_skipped=self._overlay.snapshot_blocks_skipped,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -301,11 +301,10 @@ class TestAsyncEquivalence:
 
         run(scenario())
 
-    def test_equivalence_per_graph_mode_mid_merge(self, dataset, graph_mode):
-        """The graph_mode axis through the async adoption path: answers must
+    def test_equivalence_per_graph_mode_mid_merge(self, dataset):
+        """The async adoption path with one forced merge wave: answers must
         be correct while background merges are in flight and after they
-        adopt, in both modes (the async shards skip the fast path, so the
-        modes must be indistinguishable plumbing here)."""
+        adopt (the async shards skip the graph fast path)."""
 
         async def scenario():
             service = make_async(
@@ -313,7 +312,6 @@ class TestAsyncEquivalence:
                 2,
                 max_delta_contacts=1_000_000,
                 batch_ticks=6,
-                graph_mode=graph_mode,
             )
             workload = list(random_queries(dataset, count=8, seed=13))
             reference = reference_evaluator(prefix_network(dataset, THRESHOLD))
@@ -326,14 +324,14 @@ class TestAsyncEquivalence:
                 assert_methods_agree(
                     reference,
                     {
-                        f"async-{graph_mode}-inflight": await collect_async_answers(
+                        "async-inflight": await collect_async_answers(
                             service, workload
                         )
                     },
                     workload,
                     check_earliest=True,
                     require_earliest=True,
-                    context=f"graph_mode={graph_mode}, merges in flight",
+                    context="merges in flight",
                 )
                 await asyncio.gather(*tasks, return_exceptions=True)
                 await service.drain()
@@ -341,14 +339,14 @@ class TestAsyncEquivalence:
                 assert_methods_agree(
                     reference,
                     {
-                        f"async-{graph_mode}-adopted": await collect_async_answers(
+                        "async-adopted": await collect_async_answers(
                             service, workload
                         )
                     },
                     workload,
                     check_earliest=True,
                     require_earliest=True,
-                    context=f"graph_mode={graph_mode}, merges adopted",
+                    context="merges adopted",
                 )
 
         run(scenario())

@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import (
     _CONCURRENCY_KWARGS,
-    _GRAPH_MODE_KWARGS,
     _SHARD_KWARGS,
     build_parser,
 )
@@ -164,14 +163,6 @@ class TestCliPlumbing:
         assert args.concurrency == 8
         assert build_parser().parse_args(["stream"]).concurrency is None
 
-    def test_graph_mode_flag_parses(self):
-        args = build_parser().parse_args(["stream-graph", "--graph-mode", "rebuild"])
-        assert args.graph_mode == "rebuild"
-        assert build_parser().parse_args(["stream-graph"]).graph_mode is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream-graph", "--graph-mode", "bogus"])
-
     def test_injection_tables_reference_known_experiments(self):
         assert set(_SHARD_KWARGS) <= set(EXPERIMENTS)
         assert set(_CONCURRENCY_KWARGS) <= set(EXPERIMENTS)
-        assert set(_GRAPH_MODE_KWARGS) <= set(EXPERIMENTS)

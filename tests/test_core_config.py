@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -82,12 +84,15 @@ class TestReachGraphConfig:
         with pytest.raises(ConfigurationError):
             ReachGraphConfig(partition_depth=0)
 
-    def test_with_helpers_produce_modified_copies(self):
+    def test_replace_produces_validated_copies(self):
         config = ReachGraphConfig()
-        assert config.with_partition_depth(8).partition_depth == 8
-        assert config.with_resolutions([2]).sorted_resolutions == (2,)
+        assert replace(config, partition_depth=8).partition_depth == 8
+        assert replace(config, resolutions=(2,)).sorted_resolutions == (2,)
         # the original is untouched (frozen dataclass semantics)
         assert config.partition_depth == 32
+        # replace() reruns __post_init__, so copies are validated too
+        with pytest.raises(ConfigurationError):
+            replace(config, partition_depth=0)
 
 
 class TestGrailConfig:

@@ -13,7 +13,6 @@ import pytest
 
 from equivalence import (
     EQUIVALENCE_BACKENDS,
-    EQUIVALENCE_GRAPH_MODES,
     assert_methods_agree,
     backend_storage_config,
     prefix_network,
@@ -53,11 +52,6 @@ from repro.workloads.queries import random_queries
 # tests/conftest.py would collide with benchmarks/conftest.py when the whole
 # repo is collected in one pytest run).
 TINY_THRESHOLD = 30.0
-
-# The graph_mode axis itself is parametrized by tests/conftest.py's
-# pytest_generate_tests (honouring --graph-mode); this module only asserts
-# the canned axis matches the config's registered modes.
-assert EQUIVALENCE_GRAPH_MODES == ("incremental", "rebuild")
 
 
 # ----------------------------------------------------------------------
@@ -684,43 +678,6 @@ class TestStorageBackendEquivalence:
         service.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
-    def test_rebuild_mode_closes_superseded_overlay_devices(
-        self, backend, tmp_path, tiny_dataset, tiny_contact_config
-    ):
-        """Regression: every rebuild-mode merge swaps in a fresh overlay; the
-        superseded overlay's device must be closed, not left as an open file
-        handle for the life of the service."""
-        service = StreamingReachabilityService.for_dataset(
-            tiny_dataset,
-            contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=48,
-                snapshot_mode="rebuild",
-                build_reachgraph_on_merge=False,
-            ),
-            storage_config=backend_storage_config(backend, storage_dir=str(tmp_path)),
-        )
-        overlays = []
-        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=12).batches():
-            if service.overlay not in overlays:
-                overlays.append(service.overlay)
-            service.ingest(batch)
-        assert service.num_merges > 1
-        for overlay in overlays:
-            if overlay is not service.overlay:
-                assert overlay.storage.disk.closed, "superseded device left open"
-        assert not service.overlay.storage.disk.closed
-        # ... and their backing files are gone: only the grid device and the
-        # one live overlay device may remain in the directory.
-        overlay_files = [
-            p for p in tmp_path.iterdir() if "overlay-rebuild" in p.name
-        ]
-        live = service.overlay.storage.path
-        assert live is not None
-        assert all(str(p).startswith(live) for p in overlay_files), overlay_files
-        service.close()
-
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_open_with_wrong_name_neither_creates_files_nor_leaks(
         self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
@@ -872,50 +829,39 @@ class TestSnapshotCompaction:
         self, tiny_dataset, tiny_contact_config
     ):
         """The point of the LSM path: on a multi-merge workload it must write
-        strictly fewer snapshot records than rebuild-from-scratch."""
-        ledgers = {}
-        for mode in ("lsm", "rebuild"):
-            service = self._service(
-                tiny_dataset,
-                tiny_contact_config,
-                max_delta_contacts=16,
-                snapshot_mode=mode,
-                build_reachgraph_on_merge=False,
-            )
-            service.drain(tiny_dataset)
-            assert service.num_merges > 3
-            ledgers[mode] = service.snapshot_records_written
-        assert ledgers["lsm"] < ledgers["rebuild"], ledgers
-
-    def test_rebuild_mode_still_answers_identically(
-        self, tiny_dataset, tiny_network, tiny_contact_config
-    ):
+        strictly fewer snapshot records than a from-scratch snapshot of every
+        merge's prefix would (one record per prefix contact, per merge)."""
         service = self._service(
             tiny_dataset,
             tiny_contact_config,
-            max_delta_contacts=48,
-            snapshot_mode="rebuild",
+            max_delta_contacts=16,
+            build_reachgraph_on_merge=False,
         )
-        service.drain(tiny_dataset)
-        assert service.num_merges > 0
-        assert_methods_agree(
-            reference_evaluator(tiny_network),
-            {"rebuild-mode": service.query},
-            random_queries(tiny_dataset, count=25, seed=43),
-            check_earliest=True,
+        from_scratch = 0
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
+            merges = service.num_merges
+            service.ingest(batch)
+            if service.num_merges != merges:
+                bound = service.overlay.snapshot_watermark
+                from_scratch += len(service.ingestor.contacts_through(bound))
+        assert service.num_merges > 3
+        assert service.snapshot_records_written < from_scratch, (
+            service.snapshot_records_written,
+            from_scratch,
         )
 
 
 # ----------------------------------------------------------------------
-# incremental ReachGraph maintenance vs rebuild-per-merge
+# incremental ReachGraph maintenance vs from-scratch batch builds
 # ----------------------------------------------------------------------
 class TestGraphModeMaintenance:
-    """The graph_mode axis: patching the reduced DAG must be invisible.
+    """Patching the reduced DAG across merges must be invisible.
 
-    Incremental and rebuild modes must answer bit-identically to each other
-    and to the batch reference at every watermark; the only permitted
-    difference is the write ledger (incremental strictly cheaper on a
-    multi-merge workload).
+    The patched index must answer like the batch reference at every
+    watermark and stay structurally identical to a from-scratch
+    :class:`~repro.reachgraph.ReachGraphIndex` build of the same prefix; the
+    only permitted difference is the write ledger (strictly cheaper than a
+    batch build after every merge on a multi-merge workload).
     """
 
     @staticmethod
@@ -927,12 +873,8 @@ class TestGraphModeMaintenance:
             streaming_config=StreamingConfig(**overrides),
         )
 
-    def test_equivalence_at_every_watermark(
-        self, graph_mode, tiny_dataset, tiny_contact_config
-    ):
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode=graph_mode
-        )
+    def test_equivalence_at_every_watermark(self, tiny_dataset, tiny_contact_config):
+        service = self._service(tiny_dataset, tiny_contact_config)
         workload = random_queries(tiny_dataset, count=12, seed=23)
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
@@ -946,23 +888,18 @@ class TestGraphModeMaintenance:
                         tiny_dataset, TINY_THRESHOLD, through=service.watermark
                     )
                 ),
-                {f"graph-{graph_mode}": service.query},
+                {"graph-incremental": service.query},
                 workload,
-                context=f"graph_mode={graph_mode}, watermark={service.watermark}",
+                context=f"watermark={service.watermark}",
             )
         assert service.num_merges > 1, "the workload must exercise several merges"
-        if graph_mode == "incremental":
-            assert service.graph_rebuilds == 1
-        else:
-            assert service.graph_rebuilds == service.num_merges
+        assert service.graph_rebuilds == 1
 
     def test_incremental_patches_one_live_index(
         self, tiny_dataset, tiny_contact_config
     ):
-        """Incremental mode keeps ONE index object and patches it in place."""
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        """Merges keep ONE index object and patch it in place."""
+        service = self._service(tiny_dataset, tiny_contact_config)
         processors = set()
         for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
             service.ingest(batch)
@@ -978,21 +915,27 @@ class TestGraphModeMaintenance:
     def test_incremental_index_equals_batch_rebuild(
         self, tiny_dataset, tiny_contact_config
     ):
-        """After the same merges, the patched index must be structurally
-        identical to one rebuilt from scratch: same vertices (ids, intervals,
-        members), same DN_1 edges, same long-edge layers, same assignment
-        histories — partition placement is the only thing allowed to differ."""
-        services = {
-            mode: self._service(tiny_dataset, tiny_contact_config, graph_mode=mode)
-            for mode in ("incremental", "rebuild")
-        }
-        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
-            for service in services.values():
-                service.ingest(batch)
-        for service in services.values():
-            service.merge()  # freeze the tail so both graphs cover everything
-        patched = services["incremental"].overlay.snapshot_processor.index
-        rebuilt = services["rebuild"].overlay.snapshot_processor.index
+        """After many merges, the patched index must be structurally
+        identical to a batch build from scratch over the same prefix: same
+        vertices (ids, intervals, members), same DN_1 edges, same long-edge
+        layers, same assignment histories — partition placement is the only
+        thing allowed to differ."""
+        from repro.contacts.network import ContactNetwork
+        from repro.reachgraph import ReachGraphIndex
+
+        service = self._service(tiny_dataset, tiny_contact_config)
+        service.drain(tiny_dataset)
+        service.merge()  # freeze the tail so the graph covers everything
+        assert service.num_merges > 1 and service.graph_rebuilds == 1
+        final = service.overlay.snapshot_watermark
+        prefix = service.ingestor.prefix_dataset(through=final)
+        network = ContactNetwork(
+            prefix, tuple(service.ingestor.contacts_through(final)), TINY_THRESHOLD
+        )
+        patched = service.overlay.snapshot_processor.index
+        rebuilt = ReachGraphIndex(
+            prefix, contact_config=None, contact_network=network
+        ).build()
         assert patched.dag.num_nodes == rebuilt.dag.num_nodes
         for mine, theirs in zip(patched.dag.nodes, rebuilt.dag.nodes):
             assert mine.node_id == theirs.node_id
@@ -1014,31 +957,34 @@ class TestGraphModeMaintenance:
     def test_graph_ledger_incremental_strictly_below_rebuild(
         self, tiny_dataset, tiny_network, tiny_contact_config
     ):
-        ledgers = {}
-        for mode in ("incremental", "rebuild"):
-            service = self._service(
-                tiny_dataset,
-                tiny_contact_config,
-                max_delta_contacts=16,
-                graph_mode=mode,
-            )
-            service.drain(tiny_dataset)
-            assert service.num_merges > 3
-            ledgers[mode] = service.graph_records_written
-            assert_methods_agree(
-                reference_evaluator(tiny_network),
-                {f"graph-{mode}": service.query},
-                random_queries(tiny_dataset, count=20, seed=29),
-                check_earliest=True,
-            )
-        assert ledgers["incremental"] < ledgers["rebuild"], ledgers
+        """Patching must write strictly fewer vertex records than a batch
+        build after every merge would: a full build writes one record per
+        vertex, so that cost is the vertex count after each merge, summed."""
+        service = self._service(
+            tiny_dataset, tiny_contact_config, max_delta_contacts=16
+        )
+        from_scratch = 0
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=8).batches():
+            merges = service.num_merges
+            service.ingest(batch)
+            if service.num_merges != merges:
+                from_scratch += service.overlay.snapshot_processor.index.num_vertices
+        assert service.num_merges > 3
+        assert service.graph_records_written < from_scratch, (
+            service.graph_records_written,
+            from_scratch,
+        )
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"graph-incremental": service.query},
+            random_queries(tiny_dataset, count=20, seed=29),
+            check_earliest=True,
+        )
 
     def test_forced_merge_at_same_bound_applies_empty_patch(
         self, tiny_dataset, tiny_network, tiny_contact_config
     ):
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        service = self._service(tiny_dataset, tiny_contact_config)
         service.drain(tiny_dataset)
         service.merge()
         index = service.overlay.snapshot_processor.index
@@ -1063,9 +1009,7 @@ class TestGraphModeMaintenance:
         from repro.core import IndexConstructionError
         from repro.streaming.service import build_merge
 
-        service = self._service(
-            tiny_dataset, tiny_contact_config, graph_mode="incremental"
-        )
+        service = self._service(tiny_dataset, tiny_contact_config)
         batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
         for batch in batches[:6]:
             service.ingest(batch)
@@ -1074,7 +1018,7 @@ class TestGraphModeMaintenance:
         for batch in batches[6:9]:
             service.ingest(batch)
         stale_inputs = service.prepare_merge()
-        stale_build = build_merge(stale_inputs, None)
+        stale_build = build_merge(stale_inputs)
         # ...then advance the live index past it with a real merge.
         service.merge()
         overlay = service.overlay
@@ -1090,18 +1034,16 @@ class TestGraphModeMaintenance:
         assert overlay.snapshot_watermark == watermark
 
     def test_close_reopen_answers_match_per_graph_mode(
-        self, graph_mode, tmp_path, tiny_dataset, tiny_contact_config
+        self, tmp_path, tiny_dataset, tiny_contact_config
     ):
-        """The graph fast path is not persisted, but closing and reopening a
-        service must answer identically regardless of how the graph was
-        maintained while it was live."""
+        """The patched graph fast path is persisted with the overlay: closing
+        and reopening a service must restore it and answer identically to
+        the live service and to the batch reference."""
         storage_config = backend_storage_config("file", str(tmp_path))
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(
-                max_delta_contacts=48, graph_mode=graph_mode
-            ),
+            streaming_config=StreamingConfig(max_delta_contacts=48),
             storage_config=storage_config,
         )
         service.drain(tiny_dataset)
@@ -1116,25 +1058,60 @@ class TestGraphModeMaintenance:
             reference_evaluator(
                 prefix_network(tiny_dataset, TINY_THRESHOLD, through=final)
             ),
-            {f"reopened-{graph_mode}": reopened.query},
+            {"reopened": reopened.query},
             workload,
             check_earliest=True,
             require_earliest=True,
-            context=f"graph_mode={graph_mode}, reopened",
+            context="reopened",
         )
+        assert reopened.overlay.has_reachgraph
         for query in workload:
             assert bool(reopened.query(query).reachable) == bool(live[query])
         reopened.close()
 
-    def test_engine_streaming_accepts_graph_mode(self, tiny_dataset):
-        engine = ReachabilityEngine(tiny_dataset)
-        service = engine.streaming(graph_mode="rebuild")
-        assert service.streaming_config.graph_mode == "rebuild"
-        with pytest.raises(ConfigurationError):
-            engine.streaming(graph_mode="bogus")
-        with pytest.raises(ConfigurationError):
-            StreamingConfig(graph_mode="bogus")
-        assert StreamingConfig().with_graph_mode("rebuild").graph_mode == "rebuild"
+    def test_resumed_service_keeps_patching_a_restored_graph(
+        self, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """A graph restored on reopen stays current under later merges, even
+        when the resumed config would not build one: merges patch the same
+        index (never drop or rebuild it) and answers stay exact."""
+        storage_config = backend_storage_config("file", str(tmp_path))
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+        half = len(batches) // 2
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=48),
+            storage_config=storage_config,
+        )
+        for batch in batches[:half]:
+            service.ingest(batch)
+        service.merge()
+        service.close()
+        resumed = StreamingReachabilityService.open(
+            storage_config,
+            name=service.name,
+            streaming_config=StreamingConfig(
+                max_delta_contacts=48, build_reachgraph_on_merge=False
+            ),
+        )
+        processor = resumed.overlay.snapshot_processor
+        assert processor is not None, "the graph must be restored on reopen"
+        for batch in batches[half:]:
+            resumed.ingest(batch)
+        resumed.merge()
+        assert resumed.overlay.snapshot_processor is processor
+        assert processor.index.dag.horizon.end == resumed.overlay.snapshot_watermark
+        assert resumed.graph_rebuilds == 0
+        assert_methods_agree(
+            reference_evaluator(
+                prefix_network(tiny_dataset, TINY_THRESHOLD, through=resumed.watermark)
+            ),
+            {"resumed": resumed.query},
+            random_queries(tiny_dataset, count=15, seed=47),
+            check_earliest=True,
+        )
+        resumed.close()
 
 
 class TestStreamExperiment:
