@@ -203,16 +203,19 @@ def test_parallel_merge_scaling(benchmark):
     *speedup* from extra workers is asserted only on multi-core hosts —
     on one core the curve is legitimately flat.
     """
-    result = run_experiment(
-        benchmark,
-        parallel_merge_replay,
+    replay = dict(
         dataset_names=("rwp-small",),
-        executors=("inline", "process"),
-        worker_counts=(1, 2, 4),
         shards=4,
         batch_ticks=8,
         num_queries=12,
         max_delta_contacts=64,
+    )
+    result = run_experiment(
+        benchmark,
+        parallel_merge_replay,
+        executors=("inline", "process"),
+        worker_counts=(1, 2, 4),
+        **replay,
     )
     assert [(row["executor"], row["workers"]) for row in result.rows] == [
         ("inline", 1),
@@ -235,11 +238,24 @@ def test_parallel_merge_scaling(benchmark):
     if (os.cpu_count() or 1) >= 2:
         # With real spare cores, 4 process workers must beat 1 on wall time
         # (generous 0.95 factor: the builds are small, so we only require
-        # the curve to point the right way, not a linear speedup).
-        assert (
-            by_cell[("process", 4)]["drain_seconds"]
-            < by_cell[("process", 1)]["drain_seconds"] / 0.95
-        ), by_cell
+        # the curve to point the right way, not a linear speedup).  One
+        # drain's wall time moves with the load of a shared host, so both
+        # cells are drained a second time (outside the benchmark round) and
+        # each side of the comparison takes its faster drain.
+        rerun = parallel_merge_replay(
+            executors=("process",), worker_counts=(1, 4), **replay
+        )
+        drains = {
+            workers: [by_cell[("process", workers)]["drain_seconds"]]
+            for workers in (1, 4)
+        }
+        for row in rerun.rows:
+            assert row["matches"] == "12/12"
+            assert row["merges"] in merges
+            assert row["overlapped_builds"] > 0
+            drains[row["workers"]].append(row["drain_seconds"])
+        assert [len(times) for times in drains.values()] == [2, 2], rerun.rows
+        assert min(drains[4]) < min(drains[1]) / 0.95, drains
 
 
 def test_query_latency(benchmark):

@@ -301,10 +301,14 @@ class TestAsyncEquivalence:
 
         run(scenario())
 
-    def test_equivalence_per_graph_mode_mid_merge(self, dataset):
+    @pytest.mark.parametrize("build_reachgraph_on_merge", (True, False))
+    def test_equivalence_per_graph_mode_mid_merge(
+        self, dataset, build_reachgraph_on_merge
+    ):
         """The async adoption path with one forced merge wave: answers must
         be correct while background merges are in flight and after they
-        adopt (the async shards skip the graph fast path)."""
+        adopt.  The async shards skip the graph fast path whether or not the
+        config asks for a graph on merge."""
 
         async def scenario():
             service = make_async(
@@ -312,6 +316,7 @@ class TestAsyncEquivalence:
                 2,
                 max_delta_contacts=1_000_000,
                 batch_ticks=6,
+                build_reachgraph_on_merge=build_reachgraph_on_merge,
             )
             workload = list(random_queries(dataset, count=8, seed=13))
             reference = reference_evaluator(prefix_network(dataset, THRESHOLD))
@@ -348,6 +353,10 @@ class TestAsyncEquivalence:
                     require_earliest=True,
                     context="merges adopted",
                 )
+                assert all(
+                    shard.graph_records_written == 0 and shard.graph_rebuilds == 0
+                    for shard in service.service.shard_services
+                ), "async shards must never build a graph"
 
         run(scenario())
 

@@ -163,6 +163,12 @@ class TestCliPlumbing:
         assert args.concurrency == 8
         assert build_parser().parse_args(["stream"]).concurrency is None
 
+    def test_graph_mode_flag_is_rejected(self):
+        # One merge write path: the rebuild-mode selector is no CLI flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stream-graph", "--graph-mode", "rebuild"])
+        assert not hasattr(build_parser().parse_args(["stream-graph"]), "graph_mode")
+
     def test_injection_tables_reference_known_experiments(self):
         assert set(_SHARD_KWARGS) <= set(EXPERIMENTS)
         assert set(_CONCURRENCY_KWARGS) <= set(EXPERIMENTS)

@@ -37,6 +37,7 @@ from repro.streaming import (
     StreamingReachabilityService,
     make_merge_executor,
 )
+from repro.streaming.service import build_merge
 from repro.testing import faults
 from repro.testing.faults import SimulatedCrash
 from repro.workloads.queries import random_queries
@@ -162,30 +163,74 @@ class TestExecutorEquivalence:
             service.close()
 
     def test_process_executor_per_graph_mode(
-        self, tiny_dataset, tiny_contact_config
+        self, graph_labels, tiny_dataset, tiny_contact_config
     ):
-        # Graph patches computed in worker processes and applied by the
-        # owning thread: one full build, then patches, and the answers stay
-        # reference-identical.
+        # Graph patches (and, with labels on, label patches) computed in
+        # worker processes and applied by the owning thread: one full build,
+        # then patches, and the answers stay reference-identical.
+        # graph_labels is parametrized by tests/conftest.py.
         service = _service(
             tiny_dataset,
             tiny_contact_config,
             merge_executor="process",
             merge_workers=2,
+            graph_labels=graph_labels,
         )
         try:
             service.drain(tiny_dataset)
             service.merge()
             assert service.num_merges > 1
             assert service.graph_rebuilds == 1
+            index = service.overlay.snapshot_processor.index
+            assert (index.labels is not None) == graph_labels
+            if graph_labels:
+                index.labels.check_consistency(index.dag)
             assert_methods_agree(
                 reference_evaluator(prefix_network(tiny_dataset, TINY_THRESHOLD)),
                 {"streaming": service.query},
                 random_queries(tiny_dataset, count=10, seed=21),
                 check_earliest=True,
-                context="process executor",
+                context=f"process executor, graph_labels={graph_labels}",
             )
         finally:
+            service.close()
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_pool_build_equals_inline_build(
+        self, executor, tiny_dataset, tiny_contact_config
+    ):
+        # build_merge is a pure function of its MergeInputs: shipping the
+        # inputs to a pool worker (pickled, for processes) must produce the
+        # very graph patch and contact network an inline build does, and
+        # adopting the pooled result must answer like the reference.
+        service = _service(tiny_dataset, tiny_contact_config, max_delta_contacts=10_000)
+        pool = make_merge_executor(executor, workers=1)
+        try:
+            batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+            half = len(batches) // 2
+            for batch in batches[:half]:
+                service.ingest(batch)
+            service.merge()  # the first merge builds the live index
+            for batch in batches[half:]:
+                service.ingest(batch)
+            inputs = service.prepare_merge()
+            inline = build_merge(inputs)
+            pooled = pool.submit(inputs).result()
+            assert inline.pending_index is None and pooled.pending_index is None
+            assert inline.graph_patch is not None and inline.graph_patch.new_nodes
+            assert pooled.graph_patch == inline.graph_patch
+            assert pooled.network.contacts == inline.network.contacts
+            service.adopt_merge(pooled, inputs)
+            assert service.graph_rebuilds == 1
+            assert_methods_agree(
+                reference_evaluator(prefix_network(tiny_dataset, TINY_THRESHOLD)),
+                {"streaming": service.query},
+                random_queries(tiny_dataset, count=10, seed=5),
+                check_earliest=True,
+                context=f"executor={executor}, pooled build adopted",
+            )
+        finally:
+            pool.close()
             service.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)

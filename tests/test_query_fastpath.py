@@ -543,10 +543,18 @@ class TestPartitionCache:
 # whole-path equivalence (the graph_labels axis)
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
+    # label_dirty_ratio 0.0 relabels from scratch on every merge that dirties
+    # a label; 1.0 always takes the bounded incremental pass.
+    @pytest.mark.parametrize("label_dirty_ratio", (0.0, 1.0))
     def test_equivalence_at_every_watermark(
-        self, graph_labels, tiny_dataset, tiny_contact_config
+        self, graph_labels, label_dirty_ratio, tiny_dataset, tiny_contact_config
     ):
-        service = _service(tiny_dataset, tiny_contact_config, graph_labels=graph_labels)
+        service = _service(
+            tiny_dataset,
+            tiny_contact_config,
+            graph_labels=graph_labels,
+            label_dirty_ratio=label_dirty_ratio,
+        )
         workload = random_queries(tiny_dataset, count=12, seed=29)
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
@@ -562,9 +570,22 @@ class TestFastPathEquivalence:
                 ),
                 {f"labels-{graph_labels}": service.query},
                 workload,
-                context=f"graph_labels={graph_labels}, watermark={service.watermark}",
+                context=(
+                    f"graph_labels={graph_labels}, "
+                    f"label_dirty_ratio={label_dirty_ratio}, "
+                    f"watermark={service.watermark}"
+                ),
             )
         assert service.num_merges > 1
+        labels = service.overlay.snapshot_processor.index.labels
+        if graph_labels:
+            if label_dirty_ratio == 0.0:
+                assert labels.full_relabels > 0
+            else:
+                assert labels.full_relabels == 0
+            labels.check_consistency(service.overlay.snapshot_processor.index.dag)
+        else:
+            assert labels is None
         service.close()
 
     def test_mid_merge_queries_stay_exact(

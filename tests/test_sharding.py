@@ -151,11 +151,15 @@ class TestShardedEquivalence:
             )
         assert sharded.num_merges > 0
 
-    def test_equivalence_per_graph_mode(self, dataset, shards):
+    @pytest.mark.parametrize("build_reachgraph_on_merge", (True, False))
+    def test_equivalence_per_graph_mode(
+        self, dataset, shards, build_reachgraph_on_merge
+    ):
         """Per-shard merges never touch the ReachGraph fast path.
 
         Per-shard snapshots are not individually authoritative, so they must
-        never build a graph: identical answers at every watermark, zero graph
+        never build a graph — not even when the coordinator's config asks
+        for one on merge: identical answers at every watermark, zero graph
         writes."""
         # elapsed-intervals fires for every shard that flushes grid intervals,
         # so merges definitely run on every shard.
@@ -166,6 +170,7 @@ class TestShardedEquivalence:
             merge_policy="elapsed-intervals",
             max_elapsed_intervals=2,
             batch_ticks=12,
+            build_reachgraph_on_merge=build_reachgraph_on_merge,
         )
         workload = random_queries(dataset, count=8, seed=11)
         for batch in DatasetReplaySource(dataset, batch_ticks=12).batches():
@@ -176,7 +181,10 @@ class TestShardedEquivalence:
                 {"sharded": sharded.query},
                 workload,
                 check_earliest=True,
-                context=f"shards={shards}, watermark={low}",
+                context=(
+                    f"shards={shards}, build_reachgraph_on_merge="
+                    f"{build_reachgraph_on_merge}, watermark={low}"
+                ),
             )
         assert sharded.num_merges > 0
         assert all(

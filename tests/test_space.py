@@ -104,10 +104,14 @@ class TestSpaceBound:
     pipeline armed, reclaim, and check the device-over-live bound plus
     answer fidelity (live and reopened)."""
 
+    # ``graph_labels`` is parametrized by the shared conftest hook: the label
+    # index lives in the graph catalog, so GC must relocate it too.
     @pytest.mark.parametrize("backend", SPACE_BACKENDS)
-    def test_device_blocks_bounded_after_gc(self, backend, tmp_path, dataset):
+    def test_device_blocks_bounded_after_gc(
+        self, backend, graph_labels, tmp_path, dataset
+    ):
         storage_config = backend_storage_config(backend, storage_dir=str(tmp_path))
-        service = make_service(dataset, storage_config)
+        service = make_service(dataset, storage_config, graph_labels=graph_labels)
         stats = service.drain(DatasetReplaySource(dataset, batch_ticks=6))
         assert stats.events > 0
         assert service.num_merges >= 3, "the stream must force multiple merges"
@@ -117,7 +121,7 @@ class TestSpaceBound:
         device = device_blocks(service)
         assert live > 0
         assert device <= SPACE_BOUND * live, (
-            f"backend={backend}: device={device} "
+            f"backend={backend}, graph_labels={graph_labels}: device={device} "
             f"blocks exceeds {SPACE_BOUND}x live={live}"
         )
         # A dense copy-forward leaves no garbage at all right after the pass.
@@ -131,7 +135,7 @@ class TestSpaceBound:
             {"post-gc": service.query},
             workload,
             check_earliest=True,
-            context=f"post-GC, backend={backend}",
+            context=f"post-GC, backend={backend}, graph_labels={graph_labels}",
         )
 
         if storage_config is None:
@@ -145,8 +149,10 @@ class TestSpaceBound:
             dataset,
             THRESHOLD,
             workload,
-            context=f"reopen after GC, backend={backend}",
+            context=f"reopen after GC, backend={backend}, graph_labels={graph_labels}",
         )
+        restored = reopened.overlay.snapshot_processor.index
+        assert (restored.labels is not None) == graph_labels
         reopened.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)

@@ -678,6 +678,37 @@ class TestStorageBackendEquivalence:
         service.close()
 
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
+    def test_merges_keep_one_overlay_and_its_device_open(
+        self, backend, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """Every merge folds into the same overlay on the same open device:
+        no merge opens a second device file or closes the live one, and
+        closing the service closes it."""
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(max_delta_contacts=48),
+            storage_config=backend_storage_config(backend, storage_dir=str(tmp_path)),
+        )
+        overlay = service.overlay
+        files = None
+        for batch in DatasetReplaySource(tiny_dataset, batch_ticks=12).batches():
+            service.ingest(batch)
+            assert service.overlay is overlay, "a merge replaced the overlay"
+            assert not overlay.storage.disk.closed
+            if service.num_merges:
+                names = sorted(p.name for p in tmp_path.iterdir())
+                files = names if files is None else files
+                assert names == files, "a merge left a new file behind"
+        assert service.num_merges > 1
+        assert service.graph_rebuilds == 1
+        live = overlay.storage.path
+        assert live is not None and live.rsplit("/", 1)[-1] in files
+        assert len(files) == 2, files  # the grid device and the overlay device
+        service.close()
+        assert overlay.storage.disk.closed
+
+    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_open_with_wrong_name_neither_creates_files_nor_leaks(
         self, backend, tmp_path, tiny_dataset, tiny_contact_config
     ):
@@ -851,6 +882,29 @@ class TestSnapshotCompaction:
         )
 
 
+    def test_snapshot_runs_alone_answer_identically(
+        self, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        """Without a graph fast path every answer comes from the LSM runs
+        plus the delta; that path must match the reference exactly too."""
+        service = self._service(
+            tiny_dataset,
+            tiny_contact_config,
+            max_delta_contacts=48,
+            build_reachgraph_on_merge=False,
+        )
+        service.drain(tiny_dataset)
+        assert service.num_merges > 0
+        assert not service.overlay.has_reachgraph
+        assert service.graph_records_written == 0
+        assert_methods_agree(
+            reference_evaluator(tiny_network),
+            {"snapshot-runs": service.query},
+            random_queries(tiny_dataset, count=25, seed=43),
+            check_earliest=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # incremental ReachGraph maintenance vs from-scratch batch builds
 # ----------------------------------------------------------------------
@@ -873,8 +927,14 @@ class TestGraphModeMaintenance:
             streaming_config=StreamingConfig(**overrides),
         )
 
-    def test_equivalence_at_every_watermark(self, tiny_dataset, tiny_contact_config):
-        service = self._service(tiny_dataset, tiny_contact_config)
+    # ``graph_labels`` is parametrized by tests/conftest.py: the patched
+    # index must stay exact whether or not BM-BFS consults the labels.
+    def test_equivalence_at_every_watermark(
+        self, graph_labels, tiny_dataset, tiny_contact_config
+    ):
+        service = self._service(
+            tiny_dataset, tiny_contact_config, graph_labels=graph_labels
+        )
         workload = random_queries(tiny_dataset, count=12, seed=23)
         for position, batch in enumerate(
             DatasetReplaySource(tiny_dataset, batch_ticks=8).batches()
@@ -890,10 +950,12 @@ class TestGraphModeMaintenance:
                 ),
                 {"graph-incremental": service.query},
                 workload,
-                context=f"watermark={service.watermark}",
+                context=f"graph_labels={graph_labels}, watermark={service.watermark}",
             )
         assert service.num_merges > 1, "the workload must exercise several merges"
         assert service.graph_rebuilds == 1
+        index = service.overlay.snapshot_processor.index
+        assert (index.labels is not None) == graph_labels
 
     def test_incremental_patches_one_live_index(
         self, tiny_dataset, tiny_contact_config
@@ -1034,16 +1096,18 @@ class TestGraphModeMaintenance:
         assert overlay.snapshot_watermark == watermark
 
     def test_close_reopen_answers_match_per_graph_mode(
-        self, tmp_path, tiny_dataset, tiny_contact_config
+        self, graph_labels, tmp_path, tiny_dataset, tiny_contact_config
     ):
-        """The patched graph fast path is persisted with the overlay: closing
-        and reopening a service must restore it and answer identically to
-        the live service and to the batch reference."""
+        """The patched graph fast path, labels included, is persisted with
+        the overlay: closing and reopening a service must restore it and
+        answer identically to the live service and to the batch reference."""
         storage_config = backend_storage_config("file", str(tmp_path))
         service = StreamingReachabilityService.for_dataset(
             tiny_dataset,
             contact_config=tiny_contact_config,
-            streaming_config=StreamingConfig(max_delta_contacts=48),
+            streaming_config=StreamingConfig(
+                max_delta_contacts=48, graph_labels=graph_labels
+            ),
             storage_config=storage_config,
         )
         service.drain(tiny_dataset)
@@ -1062,12 +1126,54 @@ class TestGraphModeMaintenance:
             workload,
             check_earliest=True,
             require_earliest=True,
-            context="reopened",
+            context=f"reopened, graph_labels={graph_labels}",
         )
         assert reopened.overlay.has_reachgraph
+        restored = reopened.overlay.snapshot_processor.index
+        assert (restored.labels is not None) == graph_labels
         for query in workload:
             assert bool(reopened.query(query).reachable) == bool(live[query])
         reopened.close()
+
+    def test_build_prepared_before_the_live_index_is_refused(
+        self, tiny_dataset, tiny_contact_config
+    ):
+        """A full build captured before the first merge must not be adopted
+        once a live index exists (it would leave the index behind the new
+        snapshot watermark): adoption refuses it and changes nothing."""
+        from repro.streaming.service import build_merge
+
+        service = self._service(tiny_dataset, tiny_contact_config)
+        batches = list(DatasetReplaySource(tiny_dataset, batch_ticks=8).batches())
+        for batch in batches[:4]:
+            service.ingest(batch)
+        early_inputs = service.prepare_merge()
+        early_build = build_merge(early_inputs)
+        assert early_build.pending_index is not None
+        for batch in batches[4:6]:
+            service.ingest(batch)
+        service.merge()
+        overlay = service.overlay
+        index = overlay.snapshot_processor.index
+        vertices = index.num_vertices
+        snapshot_size = overlay.snapshot_size
+        watermark = overlay.snapshot_watermark
+        with pytest.raises(StreamingError, match="without the live ReachGraph"):
+            service.adopt_merge(early_build, early_inputs)
+        assert overlay.snapshot_processor.index is index
+        assert index.num_vertices == vertices
+        assert overlay.snapshot_size == snapshot_size
+        assert overlay.snapshot_watermark == watermark
+        assert service.graph_rebuilds == 1
+
+    def test_removed_mode_options_are_rejected(self, tiny_dataset):
+        """The rebuild-mode switches are gone: passing them fails loudly
+        instead of being silently ignored."""
+        with pytest.raises(TypeError):
+            ReachabilityEngine(tiny_dataset).streaming(graph_mode="rebuild")
+        for option in ("graph_mode", "snapshot_mode"):
+            with pytest.raises(TypeError):
+                StreamingConfig(**{option: "rebuild"})
 
     def test_resumed_service_keeps_patching_a_restored_graph(
         self, tmp_path, tiny_dataset, tiny_contact_config
