@@ -165,26 +165,20 @@ class ReachGraphConfig:
     partition_depth:
         The disk-placement partition depth ``dp`` (paper optimum: 32).
     interval_labels:
-        Maintain GRAIL-style min-postorder interval labels over the reduced
-        DAG (see :mod:`repro.reachgraph.labels`).  Labels give queries O(1)
-        negative rejection and frontier pruning; disabling them falls back
-        to pure traversal.
-    label_dirty_ratio:
-        Bound on the incremental label-patch pass: when an increment dirties
-        more than this fraction of the vertex labels, the index relabels
-        from scratch instead (ledger-counted either way).
+        Maintain GRAIL-style interval labels over the reversed reduced DAG
+        (see :mod:`repro.reachgraph.labels`).  Labels give queries O(1)
+        negative rejection and frontier pruning; each increment only
+        appends labels for its new vertices.  Disabling them falls back to
+        pure traversal.
     """
 
     resolutions: Tuple[int, ...] = DEFAULT_RESOLUTIONS
     partition_depth: int = 32
     interval_labels: bool = True
-    label_dirty_ratio: float = 0.25
 
     def __post_init__(self) -> None:
         if self.partition_depth <= 0:
             raise ConfigurationError("partition_depth must be positive")
-        if not 0.0 <= self.label_dirty_ratio <= 1.0:
-            raise ConfigurationError("label_dirty_ratio must be within [0, 1]")
         seen = set()
         for resolution in self.resolutions:
             if resolution <= 1:
@@ -304,13 +298,10 @@ class StreamingConfig:
     graph_labels:
         Maintain GRAIL-style interval labels on the merge-built ReachGraph
         (see :mod:`repro.reachgraph.labels`): queries reject provable
-        negatives in O(1) and prune traversal frontiers without IO.  Labels
-        are patched inside each incremental merge and persisted through the
-        overlay manifest; disabling them reverts to pure traversal.
-    label_dirty_ratio:
-        Bound on the incremental label patch: an increment dirtying more
-        than this fraction of the labels triggers a full relabel instead
-        (both outcomes ledger-counted in :class:`~repro.streaming.service.StreamingStats`).
+        negatives in O(1) and prune traversal frontiers without IO.  Each
+        incremental merge appends labels for its new vertices only and never
+        relabels old ones; a reopened graph rebuilds its labels from the
+        restored DAG.  Disabling them reverts to pure traversal.
     partition_cache_size:
         Capacity (in graph partitions) of the cross-query partition cache
         shared by the sync, async, and parallel query paths.  The cache is
@@ -335,7 +326,6 @@ class StreamingConfig:
     merge_executor: str = "inline"
     merge_workers: int = 2
     graph_labels: bool = True
-    label_dirty_ratio: float = 0.25
     partition_cache_size: int = 64
 
     def __post_init__(self) -> None:
@@ -381,8 +371,6 @@ class StreamingConfig:
             )
         if self.merge_workers <= 0:
             raise ConfigurationError("merge_workers must be positive")
-        if not 0.0 <= self.label_dirty_ratio <= 1.0:
-            raise ConfigurationError("label_dirty_ratio must be within [0, 1]")
         if self.partition_cache_size < 0:
             raise ConfigurationError("partition_cache_size must be non-negative")
 

@@ -201,7 +201,8 @@ class DagPatch:
         numbering.
     new_edges:
         New DN_1 edges ``(source_id, target_id)``; targets are always new
-        vertices, sources may be old (those become dirty).
+        vertices (application refuses any other patch), sources may be old
+        (those become dirty).
     new_long_edges:
         ``(resolution, ((source_id, target_id), ...))`` for augmentation
         windows completed by the appended ticks.

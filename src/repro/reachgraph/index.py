@@ -339,9 +339,7 @@ class ReachGraphIndex:
             for resolution in self.config.sorted_resolutions
         }
         if self.config.interval_labels:
-            self._labels = ReachLabelIndex.build(
-                dag, dirty_ratio=self.config.label_dirty_ratio
-            )
+            self._labels = ReachLabelIndex.build(dag)
 
         if self._storage is not None:
             self._write_partitions()
@@ -528,6 +526,13 @@ class ReachGraphIndex:
                 f"dataset horizon ends at {dataset.horizon.end}, "
                 f"patch extends through {patch.new_end}"
             )
+        # An edge into an old vertex would give it a new ancestor, which the
+        # append-only labels (and the reduction's contract) rule out.
+        for source_id, target_id in patch.new_edges:
+            if target_id < patch.base_nodes:
+                raise IndexConstructionError(
+                    f"patch edge {source_id}->{target_id} targets an old vertex"
+                )
 
         dirty: Set[int] = set()
 
@@ -558,8 +563,8 @@ class ReachGraphIndex:
                     dirty.add(source_id)
         self._window_cursors.update(dict(patch.window_cursors))
 
-        # 2b. Patch the interval labels over the grown DAG (long edges are
-        #     shortcuts over DN_1 paths, so labels only track DN_1).
+        # 2b. Label the appended vertices (long edges are shortcuts over
+        #     DN_1 paths, so labels only track DN_1).
         if self._labels is not None:
             self._labels.apply_patch(patch, dag)
 
@@ -718,10 +723,9 @@ class ReachGraphIndex:
 
         Only what the partition extents cannot express is cataloged: the
         configuration, the per-resolution window cursors (the augmentation
-        resumption points), the interval labels (ranks depend on the DFS
-        history, so they ride the catalog rather than being recomputed), and
-        the write-amplification ledger.  The graph itself is rebuilt from
-        the vertex records on the device.
+        resumption points), whether interval labels are on, and the
+        write-amplification ledger.  The graph itself is rebuilt from the
+        vertex records on the device, and the labels from the graph.
         """
         self._require_built()
         return {
@@ -733,7 +737,7 @@ class ReachGraphIndex:
             "increments": self._increments,
             "packed_partitions": sorted(self._packed_partitions),
             "repacks": self._repacks,
-            "labels": self._labels.catalog() if self._labels is not None else None,
+            "labels": self._labels is not None,
         }
 
     @classmethod
@@ -762,8 +766,9 @@ class ReachGraphIndex:
         config = ReachGraphConfig(
             resolutions=resolutions,
             partition_depth=int(catalog["partition_depth"]),  # type: ignore[arg-type]
-            # A service that ran without labels catalogs None; keep it off.
-            interval_labels=catalog.get("labels") is not None,
+            # Catalogs written before labels became derived data hold the
+            # label arrays here (or None when labels were off).
+            interval_labels=bool(catalog.get("labels")),
         )
         index = cls(
             dataset,
@@ -854,15 +859,8 @@ class ReachGraphIndex:
             for partition_id in catalog.get("packed_partitions", ())  # type: ignore[union-attr]
         }
         self._repacks = int(catalog.get("repacks", 0))  # type: ignore[arg-type]
-        labels_catalog = catalog.get("labels")
-        if labels_catalog is not None:
-            labels = ReachLabelIndex.restore(labels_catalog)  # type: ignore[arg-type]
-            if labels.num_labels != dag.num_nodes:
-                raise IndexConstructionError(
-                    f"label catalog covers {labels.num_labels} vertices, "
-                    f"restored DAG has {dag.num_nodes}"
-                )
-            self._labels = labels
+        if self.config.interval_labels:
+            self._labels = ReachLabelIndex.build(dag)
         self._built = True
 
         # 5. Reconcile the object-index buckets against the rebuilt DAG.

@@ -137,9 +137,9 @@ class MergeInputs:
     the merge *patches* the graph instead of building it — ``None`` when no
     index exists yet (the first fast-path merge builds one, if
     ``build_reachgraph`` asks for it).
-    ``graph_labels``/``label_dirty_ratio`` freeze the query-fast-path knobs
-    the built index must honour (captured alongside the prefix so a config
-    change between prepare and adopt cannot split-brain the build).
+    ``graph_labels`` freezes the query-fast-path knob the built index must
+    honour (captured alongside the prefix so a config change between
+    prepare and adopt cannot split-brain the build).
     """
 
     prefix: TrajectoryDataset
@@ -151,15 +151,11 @@ class MergeInputs:
     build_reachgraph: bool
     graph_frontier: Optional["GraphFrontier"] = None
     graph_labels: bool = True
-    label_dirty_ratio: float = 0.25
 
 
 def _graph_config(inputs: MergeInputs) -> ReachGraphConfig:
     """The ReachGraph configuration frozen into a merge's inputs."""
-    return ReachGraphConfig(
-        interval_labels=inputs.graph_labels,
-        label_dirty_ratio=inputs.label_dirty_ratio,
-    )
+    return ReachGraphConfig(interval_labels=inputs.graph_labels)
 
 
 def build_merge(inputs: MergeInputs) -> SnapshotArtifacts:
@@ -206,7 +202,13 @@ def build_merge(inputs: MergeInputs) -> SnapshotArtifacts:
 
 @dataclass(frozen=True, slots=True)
 class StreamingStats:
-    """Counters describing the state of a streaming service."""
+    """Counters describing the state of a streaming service.
+
+    ``label_relabels`` counts the append-only label passes (one per graph
+    increment).  ``label_full_relabels`` is always 0: labels are only ever
+    appended, never relabelled.  The field stays so that readers of the
+    relabel share keep working.
+    """
 
     events: int
     batches: int
@@ -521,7 +523,6 @@ class StreamingReachabilityService:
             # every later one a patch.
             graph_frontier=self._overlay.graph_frontier(),
             graph_labels=self.streaming_config.graph_labels,
-            label_dirty_ratio=self.streaming_config.label_dirty_ratio,
         )
 
     def adopt_merge(self, build: SnapshotArtifacts, inputs: MergeInputs) -> None:
@@ -845,7 +846,6 @@ class StreamingReachabilityService:
             label_rejections=self._overlay.label_rejections,
             label_frontier_prunes=self._overlay.label_frontier_prunes,
             label_relabels=self._overlay.label_relabels,
-            label_full_relabels=self._overlay.label_full_relabels,
             bloom_rejections=self._overlay.bloom_rejections,
             partition_cache_hits=self._overlay.partition_cache.hits,
             partition_cache_misses=self._overlay.partition_cache.misses,

@@ -5,7 +5,7 @@ one-sided — a positive pruning verdict must be *provably* exact, a negative
 one falls through to the traversal that was always correct:
 
 * :class:`~repro.reachgraph.ReachLabelIndex` — GRAIL-style interval labels
-  over the reduced DAG, patched incrementally across streaming merges;
+  over the reversed reduced DAG, appended to across streaming merges;
 * per-run zone maps on the LSM snapshot store (min/max contact time plus an
   object-id Bloom filter), skipping provably disjoint runs without IO;
 * the cross-query :class:`~repro.reachgraph.PartitionCache`, shared by every
@@ -20,6 +20,8 @@ build and adopt phases of a merge.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from equivalence import (
     EQUIVALENCE_LABEL_MODES,
@@ -30,7 +32,9 @@ from equivalence import (
     reference_evaluator,
 )
 from repro.core import (
+    IndexConstructionError,
     ReachabilityQuery,
+    ReachGraphConfig,
     StreamingConfig,
     TimeInterval,
 )
@@ -38,9 +42,11 @@ from repro.reachgraph import (
     ContactDag,
     DagPatch,
     PartitionCache,
+    ReachGraphIndex,
     ReachLabelIndex,
     reduce_contact_network,
 )
+from repro.storage import StorageSystem
 from repro.streaming import (
     DatasetReplaySource,
     SnapshotQueryService,
@@ -93,6 +99,34 @@ def chain_dag(length: int) -> ContactDag:
         if position:
             dag.add_edge(position - 1, position)
     return dag
+
+
+def dag_prefix(predecessors, num_nodes: int) -> ContactDag:
+    """The first ``num_nodes`` vertices of a DAG given per-vertex predecessors."""
+    dag = ContactDag(TimeInterval(0, num_nodes), num_objects=2)
+    for node_id in range(num_nodes):
+        dag.add_node(TimeInterval(node_id, node_id), frozenset({1, 2}))
+        for pred in sorted(predecessors[node_id]):
+            dag.add_edge(pred, node_id)
+    return dag
+
+
+@st.composite
+def growing_dags(draw):
+    """Per-vertex predecessor sets (ids are topological) plus patch cuts."""
+    num_nodes = draw(st.integers(min_value=1, max_value=24))
+    predecessors = [
+        draw(st.sets(st.integers(min_value=0, max_value=node_id - 1), max_size=3))
+        if node_id
+        else set()
+        for node_id in range(num_nodes)
+    ]
+    cuts = (
+        draw(st.sets(st.integers(min_value=1, max_value=num_nodes - 1), max_size=4))
+        if num_nodes > 1
+        else set()
+    )
+    return predecessors, sorted(cuts) + [num_nodes]
 
 
 def suffix_patch(dag: ContactDag, base_nodes: int) -> DagPatch:
@@ -148,12 +182,6 @@ class TestReachLabelIndex:
         for node_id in range(figure1_dag.num_nodes):
             assert not labels.rejects(node_id, node_id)
 
-    def test_dirty_ratio_is_validated(self):
-        with pytest.raises(ValueError):
-            ReachLabelIndex(dirty_ratio=-0.1)
-        with pytest.raises(ValueError):
-            ReachLabelIndex(dirty_ratio=1.5)
-
     def test_patch_base_mismatch_is_rejected(self):
         dag = chain_dag(6)
         labels = ReachLabelIndex.build(dag)
@@ -175,55 +203,30 @@ class TestReachLabelIndex:
         labels.apply_patch(suffix_patch(dag, base_nodes=8), dag)
         labels.check_consistency(dag)
         assert labels.num_labels == dag.num_nodes
-        assert labels.incremental_passes == 1
-        assert labels.full_relabels == 0
-        assert labels.patched_labels > 0
+        assert labels.append_passes == 1
+        # The new vertices rank above every old one: 8 is a successor of 7.
+        assert labels.label(8)[1] > labels.label(7)[1]
         assert_rejections_exact(labels, dag)
 
-    def test_overflowing_dirty_bound_falls_back_to_full_relabel(self):
-        # A 20-deep chain: one new frontier vertex dirties every ancestor,
-        # exceeding the floor bound of 16 when dirty_ratio pins it there.
-        dag = chain_dag(21)
-        prefix = chain_dag(20)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=0.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=20), dag)
-        assert labels.full_relabels == 1
-        assert labels.incremental_passes == 0
+    @given(growing_dags())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_patches_only_append_and_stay_exact(self, growing):
+        predecessors, cuts = growing
+        dag = dag_prefix(predecessors, cuts[0])
+        labels = ReachLabelIndex.build(dag)
         labels.check_consistency(dag)
-        assert_rejections_exact(labels, dag)
-        # The relabel restored tight positive postorder ranks throughout.
-        assert all(labels.label(n)[1] > 0 for n in range(dag.num_nodes))
-
-    def test_dirty_ratio_one_never_falls_back(self):
-        # With the bound at the whole vertex count the dirty closure can
-        # never exceed it — the incremental pass must always survive.
-        dag = chain_dag(21)
-        prefix = chain_dag(20)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=1.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=20), dag)
-        assert labels.incremental_passes == 1
-        assert labels.full_relabels == 0
-        labels.check_consistency(dag)
-        assert_rejections_exact(labels, dag)
-
-    def test_catalog_restore_roundtrip(self):
-        dag = chain_dag(10)
-        prefix = chain_dag(7)
-        labels = ReachLabelIndex.build(prefix, dirty_ratio=1.0)
-        labels.apply_patch(suffix_patch(dag, base_nodes=7), dag)
-        restored = ReachLabelIndex.restore(labels.catalog())
-        assert restored.num_labels == labels.num_labels
-        for node_id in range(dag.num_nodes):
-            assert restored.label(node_id) == labels.label(node_id)
-        assert restored.dirty_ratio == labels.dirty_ratio
-        assert restored.incremental_passes == labels.incremental_passes
-        assert restored.full_relabels == labels.full_relabels
-        # The negative-rank counter must survive the roundtrip, or the next
-        # patch after a reopen would hand out colliding ranks.
-        longer = chain_dag(12)
-        restored.apply_patch(suffix_patch(longer, base_nodes=10), longer)
-        restored.check_consistency(longer)
-        assert_rejections_exact(restored, longer)
+        for base_nodes, num_nodes in zip(cuts, cuts[1:]):
+            old_labels = [labels.label(n) for n in range(base_nodes)]
+            dag = dag_prefix(predecessors, num_nodes)
+            labels.apply_patch(suffix_patch(dag, base_nodes), dag)
+            assert [labels.label(n) for n in range(base_nodes)] == old_labels
+            labels.check_consistency(dag)
+            assert_rejections_exact(labels, dag)
+        assert labels.append_passes == len(cuts) - 1
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +245,7 @@ class TestLabelsInService:
     def test_labels_are_patched_across_incremental_merges(
         self, tiny_dataset, tiny_contact_config
     ):
-        service = _service(
-            tiny_dataset,
-            tiny_contact_config,
-            label_dirty_ratio=1.0,
-        )
+        service = _service(tiny_dataset, tiny_contact_config)
         service.drain(tiny_dataset)
         service.merge()
         assert service.num_merges > 1
@@ -254,15 +253,13 @@ class TestLabelsInService:
         labels = index.labels
         assert labels is not None
         assert labels.num_labels == index.dag.num_nodes
-        # dirty_ratio=1.0 makes the fallback unreachable: every increment
-        # must have gone through the bounded incremental pass.
-        assert labels.incremental_passes == index.num_increments
-        assert labels.full_relabels == 0
+        # Every increment is one append pass; nothing is ever relabelled.
+        assert labels.append_passes == index.num_increments
         labels.check_consistency(index.dag)
         assert_rejections_exact(labels, index.dag)
         service.close()
 
-    def test_default_ratio_falls_back_but_stays_exact(
+    def test_stats_count_one_append_pass_per_increment(
         self, tiny_dataset, tiny_contact_config
     ):
         service = _service(tiny_dataset, tiny_contact_config)
@@ -272,12 +269,42 @@ class TestLabelsInService:
         labels = index.labels
         assert labels is not None
         stats = service.stats
-        assert (
-            stats.label_relabels + stats.label_full_relabels
-            == index.num_increments
-        ), "every increment must be ledger-counted, whichever path it took"
+        assert stats.label_relabels == index.num_increments > 0
+        assert stats.label_full_relabels == 0
         labels.check_consistency(index.dag)
         service.close()
+
+    def test_patch_into_an_old_vertex_is_refused(
+        self, tiny_dataset, tiny_network, tiny_contact_config
+    ):
+        """An edge into an old vertex would give it an ancestor its label
+        does not cover, so a rejection could be false: the index must refuse
+        the patch before touching the graph or its labels."""
+        index = ReachGraphIndex(
+            tiny_dataset,
+            ReachGraphConfig(resolutions=(2, 4), partition_depth=8),
+            tiny_contact_config,
+            contact_network=tiny_network,
+        ).build()
+        dag = index.dag
+        base_nodes = dag.num_nodes
+        end = dag.horizon.end
+        old_labels = [index.labels.label(n) for n in range(base_nodes)]
+        patch = DagPatch(
+            base_end=end,
+            base_nodes=base_nodes,
+            new_end=end,
+            extensions=(),
+            new_nodes=((base_nodes, end, end, (tiny_dataset.object_ids[0],)),),
+            new_edges=((base_nodes - 1, base_nodes), (base_nodes, 0)),
+            new_long_edges=(),
+            window_cursors=(),
+        )
+        with pytest.raises(IndexConstructionError, match="targets an old vertex"):
+            index.apply_increment(patch, tiny_dataset)
+        assert index.num_vertices == base_nodes
+        assert index.labels.num_labels == base_nodes
+        assert [index.labels.label(n) for n in range(base_nodes)] == old_labels
 
     def test_labels_follow_frontier_repacks(self, tiny_dataset, tiny_contact_config):
         service = _service(
@@ -325,22 +352,77 @@ class TestLabelsInService:
         )
         service.drain(tiny_dataset)
         service.merge()
-        live = service.overlay.snapshot_processor.index.labels
-        live_labels = [live.label(n) for n in range(live.num_labels)]
         service.close()
         reopened = SnapshotQueryService.open(storage_config, name=service.name)
         index = reopened.overlay.snapshot_processor.index
         assert index.labels is not None
         assert index.labels.num_labels == index.dag.num_nodes
-        assert [
-            index.labels.label(n) for n in range(index.labels.num_labels)
-        ] == live_labels, "restored labels must be bit-identical to the flushed ones"
+        rebuilt = ReachLabelIndex.build(index.dag)
+        assert [index.labels.label(n) for n in range(index.labels.num_labels)] == [
+            rebuilt.label(n) for n in range(rebuilt.num_labels)
+        ], "reopened labels must equal a build over the restored DAG"
         assert_reopened_matches_prefix(
             reopened,
             tiny_dataset,
             TINY_THRESHOLD,
             random_queries(tiny_dataset, count=20, seed=11),
             context="labels restored",
+        )
+        reopened.close()
+
+    def test_catalog_with_persisted_labels_reopens(
+        self, graph_labels, tmp_path, tiny_dataset, tiny_contact_config
+    ):
+        """Catalogs written before labels became derived data hold the label
+        arrays (forward ranks) under ``labels``, or ``None`` with labels off.
+        Reopening ignores the arrays and rebuilds labels from the DAG."""
+        storage_config = backend_storage_config("file", storage_dir=str(tmp_path))
+        service = StreamingReachabilityService.for_dataset(
+            tiny_dataset,
+            contact_config=tiny_contact_config,
+            streaming_config=StreamingConfig(
+                max_delta_contacts=48, graph_labels=graph_labels
+            ),
+            storage_config=storage_config,
+        )
+        service.drain(tiny_dataset)
+        service.merge()
+        num_nodes = service.overlay.snapshot_processor.index.dag.num_nodes
+        service.close()
+        storage = StorageSystem(storage_config, name=f"{service.name}-overlay")
+        manifest = storage.get_metadata("overlay-manifest")
+        forward_ranks = [num_nodes - n for n in range(num_nodes)]
+        manifest["graph"]["index"]["labels"] = (
+            {
+                "ranks": forward_ranks,
+                "lows": [1] * num_nodes,
+                "next_new_rank": -3,
+                "dirty_ratio": 0.25,
+                "full_relabels": 7,
+                "incremental_passes": 2,
+                "patched_labels": 40,
+            }
+            if graph_labels
+            else None
+        )
+        storage.put_metadata("overlay-manifest", manifest)
+        storage.close()
+        reopened = SnapshotQueryService.open(storage_config, name=service.name)
+        index = reopened.overlay.snapshot_processor.index
+        if graph_labels:
+            rebuilt = ReachLabelIndex.build(index.dag)
+            assert [index.labels.label(n) for n in range(num_nodes)] == [
+                rebuilt.label(n) for n in range(rebuilt.num_labels)
+            ]
+            index.labels.check_consistency(index.dag)
+        else:
+            assert index.labels is None
+        assert_reopened_matches_prefix(
+            reopened,
+            tiny_dataset,
+            TINY_THRESHOLD,
+            random_queries(tiny_dataset, count=20, seed=13),
+            context=f"catalog with persisted labels, graph_labels={graph_labels}",
         )
         reopened.close()
 
@@ -543,17 +625,18 @@ class TestPartitionCache:
 # whole-path equivalence (the graph_labels axis)
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
-    # label_dirty_ratio 0.0 relabels from scratch on every merge that dirties
-    # a label; 1.0 always takes the bounded incremental pass.
-    @pytest.mark.parametrize("label_dirty_ratio", (0.0, 1.0))
+    # Many small appends (a merge every few contacts) against few large ones:
+    # labels appended over many patches must answer like labels appended
+    # over a few.
+    @pytest.mark.parametrize("max_delta_contacts", (4, 64))
     def test_equivalence_at_every_watermark(
-        self, graph_labels, label_dirty_ratio, tiny_dataset, tiny_contact_config
+        self, graph_labels, max_delta_contacts, tiny_dataset, tiny_contact_config
     ):
         service = _service(
             tiny_dataset,
             tiny_contact_config,
             graph_labels=graph_labels,
-            label_dirty_ratio=label_dirty_ratio,
+            max_delta_contacts=max_delta_contacts,
         )
         workload = random_queries(tiny_dataset, count=12, seed=29)
         for position, batch in enumerate(
@@ -572,18 +655,16 @@ class TestFastPathEquivalence:
                 workload,
                 context=(
                     f"graph_labels={graph_labels}, "
-                    f"label_dirty_ratio={label_dirty_ratio}, "
+                    f"max_delta_contacts={max_delta_contacts}, "
                     f"watermark={service.watermark}"
                 ),
             )
         assert service.num_merges > 1
-        labels = service.overlay.snapshot_processor.index.labels
+        index = service.overlay.snapshot_processor.index
+        labels = index.labels
         if graph_labels:
-            if label_dirty_ratio == 0.0:
-                assert labels.full_relabels > 0
-            else:
-                assert labels.full_relabels == 0
-            labels.check_consistency(service.overlay.snapshot_processor.index.dag)
+            assert labels.append_passes == index.num_increments
+            labels.check_consistency(index.dag)
         else:
             assert labels is None
         service.close()

@@ -155,17 +155,17 @@ class TestReachGraphQueryProcessing:
         # legitimately visits nothing.
         processor = ReachGraphQueryProcessor(tiny_reachgraph, use_labels=False)
         objects = tiny_network.object_ids
-        result = processor.evaluate(
-            ReachabilityQuery(objects[0], objects[-1], TimeInterval(0, 100))
-        )
+        query = ReachabilityQuery(objects[1], objects[-1], TimeInterval(0, 100))
+        assert not evaluate_reachability(tiny_network, query).reachable
+        result = processor.evaluate(query)
         assert result.io > 0
         assert result.visited > 0
-        # The label layer answers the same query with zero vertex visits.
-        labelled = ReachGraphQueryProcessor(tiny_reachgraph).evaluate(
-            ReachabilityQuery(objects[0], objects[-1], TimeInterval(0, 100))
-        )
+        # The label layer answers the same query with zero vertex visits and
+        # no partition reads: only the two endpoint hash-bucket reads are charged.
+        labelled = ReachGraphQueryProcessor(tiny_reachgraph).evaluate(query)
         assert not labelled.reachable
         assert labelled.visited == 0
+        assert labelled.io < result.io
 
     def test_bmbfs_visits_no_more_than_bbfs(self, tiny_reachgraph, tiny_network):
         """The multi-resolution traversal should never explore more vertices

@@ -22,6 +22,7 @@ from repro.core import (
     ConfigurationError,
     Point,
     ReachabilityQuery,
+    ReachGraphConfig,
     StreamingConfig,
     StreamingError,
     TimeInterval,
@@ -1167,13 +1168,19 @@ class TestGraphModeMaintenance:
         assert service.graph_rebuilds == 1
 
     def test_removed_mode_options_are_rejected(self, tiny_dataset):
-        """The rebuild-mode switches are gone: passing them fails loudly
-        instead of being silently ignored."""
+        """The rebuild-mode switches and the label relabel bound are gone:
+        passing them fails loudly instead of being silently ignored."""
         with pytest.raises(TypeError):
             ReachabilityEngine(tiny_dataset).streaming(graph_mode="rebuild")
-        for option in ("graph_mode", "snapshot_mode"):
+        for option, value in (
+            ("graph_mode", "rebuild"),
+            ("snapshot_mode", "rebuild"),
+            ("label_dirty_ratio", 0.25),
+        ):
             with pytest.raises(TypeError):
-                StreamingConfig(**{option: "rebuild"})
+                StreamingConfig(**{option: value})
+        with pytest.raises(TypeError):
+            ReachGraphConfig(label_dirty_ratio=0.25)
 
     def test_resumed_service_keeps_patching_a_restored_graph(
         self, tmp_path, tiny_dataset, tiny_contact_config
